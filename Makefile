@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race race-workers fuzz-smoke bench-smoke bench bench-compare distributed-sweep remote-sweep serve-smoke ci
+.PHONY: build vet test bench-test race race-workers fuzz-smoke bench-smoke bench bench-compare distributed-sweep remote-sweep serve-smoke ci
 
 build:
 	$(GO) build ./...
@@ -12,6 +12,11 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# bench/ is its own module, so the root `go test ./...` skips it; it
+# compiles against the public API, so vet and test it separately.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 race:
 	ORION_INVARIANTS=1 $(GO) test -race ./...
@@ -29,6 +34,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLoadConfigJSON -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzParseFaultSpec -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzParseTrace -fuzztime 10s ./internal/traffic
+	$(GO) test -run '^$$' -fuzz FuzzLoadSnapshot -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzJournalLine -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzQueueLine -fuzztime 10s ./internal/queue
 	$(GO) test -run '^$$' -fuzz FuzzServeRequest -fuzztime 10s ./internal/serve
@@ -67,4 +73,4 @@ bench:
 bench-compare:
 	scripts/bench_compare.sh
 
-ci: build vet race race-workers bench-smoke fuzz-smoke
+ci: build vet race race-workers bench-test bench-smoke fuzz-smoke

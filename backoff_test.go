@@ -2,77 +2,74 @@ package orion
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
+
+	"orion/internal/backoff"
 )
 
-// TestPointBackoffDelaySchedule pins the retry schedule: the delay grows
-// linearly with the attempt number on a per-rate jitter base bounded to
-// [50ms, 149ms], so attempt k always waits exactly k× attempt 1.
+// TestPointBackoffDelaySchedule pins the sweep-point retry schedule: the
+// delay starts in [100ms, 150ms), doubles per attempt with under 50%
+// jitter keyed by the rate, and is capped at 5s from attempt 7 on.
 func TestPointBackoffDelaySchedule(t *testing.T) {
 	for _, rate := range []float64{0, 0.01, 0.02, 0.5, 0.999} {
-		base := pointBackoffDelay(1, rate)
-		if base < 50*time.Millisecond || base > 149*time.Millisecond {
-			t.Errorf("rate %g: base delay %v outside [50ms, 149ms]", rate, base)
-		}
-		for attempt := 2; attempt <= 5; attempt++ {
-			got := pointBackoffDelay(attempt, rate)
-			if want := time.Duration(attempt) * base; got != want {
-				t.Errorf("rate %g attempt %d: delay %v, want %d x base = %v",
-					rate, attempt, got, attempt, want)
+		nominal := 100 * time.Millisecond
+		for attempt := 1; attempt <= 10; attempt++ {
+			lo := min(nominal, 5*time.Second)
+			hi := min(nominal*3/2, 5*time.Second)
+			got := pointRetryDelay(attempt, rate)
+			if got < lo || got > hi || (lo < hi && got == hi) {
+				t.Errorf("rate %g attempt %d: delay %v outside [%v, %v)", rate, attempt, got, lo, hi)
 			}
-		}
-	}
-}
-
-// TestPointBackoffDelayDeterministicJitter: the jitter derives from the
-// rate's bit pattern alone, so a fixed (attempt, rate) pair always backs
-// off identically — resumed and repeated sweeps stay reproducible —
-// while distinct rates decorrelate across a failing pool.
-func TestPointBackoffDelayDeterministicJitter(t *testing.T) {
-	for _, rate := range []float64{0.02, 0.05, 0.11} {
-		first := pointBackoffDelay(3, rate)
-		for i := 0; i < 10; i++ {
-			if got := pointBackoffDelay(3, rate); got != first {
-				t.Fatalf("rate %g: delay changed across calls: %v then %v", rate, first, got)
+			if attempt >= 7 && got != 5*time.Second {
+				t.Errorf("rate %g attempt %d: delay %v, want the 5s cap", rate, attempt, got)
 			}
+			nominal *= 2
 		}
-	}
-	distinct := map[time.Duration]bool{}
-	for _, rate := range []float64{0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08} {
-		distinct[pointBackoffDelay(1, rate)] = true
-	}
-	if len(distinct) < 2 {
-		t.Fatalf("jitter produced one delay across 8 rates; retries would synchronize")
 	}
 }
 
 // TestPointBackoffCancelledContext: a cancelled sweep must not sit out
-// its backoff — the wait aborts immediately and reports false so the
-// caller stops retrying.
+// its backoff — the wait aborts immediately, and runPoint gives up on a
+// retrying point at once instead of working through its retries.
 func TestPointBackoffCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	// Attempt 20 would wait at least a second if the cancellation were
+	// Attempt 20 would wait the full 5s cap if the cancellation were
 	// ignored.
-	if pointBackoff(ctx, 20, 0.05) {
-		t.Fatal("pointBackoff returned true under a cancelled context")
+	if backoff.Sleep(ctx, pointRetryDelay(20, 0.05)) {
+		t.Fatal("point backoff reported a full wait under a cancelled context")
+	}
+	cfg := OnChip4x4(VC16(), 0)
+	cfg.Sim.PointTimeout = time.Nanosecond
+	cfg.Sim.PointRetries = 20
+	if _, err := runPoint(ctx, cfg, 0.05); err == nil {
+		t.Fatal("runPoint succeeded under a cancelled context")
 	}
 	if waited := time.Since(start); waited > 200*time.Millisecond {
-		t.Fatalf("cancelled backoff waited %v, want an immediate return", waited)
+		t.Fatalf("cancelled point backoff waited %v, want an immediate return", waited)
 	}
 }
 
-// TestPointBackoffCancelledMidWait cancels while the backoff timer is
-// pending and requires the same early false.
+// TestPointBackoffCancelledMidWait: a point that keeps timing out is
+// retried with backoff; cancelling the sweep while a retry waits ends
+// the point at once instead of sitting out the remaining schedule
+// (twenty retries would otherwise wait over a minute). The schedule
+// itself is tested in internal/backoff.
 func TestPointBackoffCancelledMidWait(t *testing.T) {
+	cfg := OnChip4x4(VC16(), 0)
+	cfg.Sim.PointTimeout = time.Nanosecond
+	cfg.Sim.PointRetries = 20
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		cancel()
-	}()
-	if pointBackoff(ctx, 20, 0.05) {
-		t.Fatal("pointBackoff returned true after mid-wait cancellation")
+	time.AfterFunc(10*time.Millisecond, cancel)
+	start := time.Now()
+	_, err := runPoint(ctx, cfg, 0.05)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("runPoint = %v, want the point's timeout", err)
+	}
+	if waited := time.Since(start); waited > 2*time.Second {
+		t.Fatalf("cancelled sweep still waited %v in point backoff", waited)
 	}
 }

@@ -14,12 +14,15 @@
 // -samples 2000 gives a quick pass with the same shapes. -cpuprofile and
 // -memprofile write runtime/pprof profiles of the whole run for analysis
 // with `go tool pprof`.
+//
+// Exit status: 0 success; 1 when an experiment fails; 2 bad flags.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	"orion"
@@ -36,6 +39,10 @@ var (
 
 func main() {
 	flag.Parse()
+	if !slices.Contains([]string{"all", "walkthrough", "5", "6", "7", "ablations"}, *figFlag) {
+		fmt.Fprintf(os.Stderr, "orion-exp: -fig: unknown figure %q (want all, walkthrough, 5, 6, 7 or ablations)\n", *figFlag)
+		os.Exit(2)
+	}
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "orion-exp: %v\n", err)

@@ -15,6 +15,9 @@
 //
 //	# The Section 4.4 central-buffered router:
 //	orion-power -router cb -depth 64 -flits 32 -chip2chip -freq 1
+//
+// Exit status: 0 success; 1 when the models cannot be evaluated; 2 bad
+// flags or an invalid configuration.
 package main
 
 import (
@@ -23,71 +26,18 @@ import (
 	"os"
 
 	"orion"
+	"orion/internal/cliconfig"
 )
 
-var (
-	routerKind = flag.String("router", "wormhole", "router kind: vc, wormhole, cb")
-	vcs        = flag.Int("vcs", 2, "virtual channels per port (vc router)")
-	depth      = flag.Int("depth", 4, "buffer depth in flits")
-	flits      = flag.Int("flits", 32, "flit width in bits")
-	cbBanks    = flag.Int("cb-banks", 4, "central buffer banks")
-	cbRows     = flag.Int("cb-rows", 2560, "central buffer rows per bank")
-	chip2chip  = flag.Bool("chip2chip", false, "chip-to-chip links (constant power)")
-	linkMm     = flag.Float64("link-mm", 3, "on-chip link length in mm")
-	linkWatts  = flag.Float64("link-watts", 3, "chip-to-chip link power in W")
-	freqGHz    = flag.Float64("freq", 2, "clock frequency in GHz")
-	vdd        = flag.Float64("vdd", 0, "supply voltage override in V")
-	feature    = flag.Float64("feature", 0, "feature size in µm (0 = 0.1)")
-	muxtree    = flag.Bool("muxtree", false, "model a multiplexer-tree crossbar")
-	arb        = flag.String("arbiter", "matrix", "arbiter model: matrix, roundrobin, queuing")
-)
+var cf = cliconfig.Bind(flag.CommandLine, cliconfig.Power)
 
 func main() {
 	flag.Parse()
-	cfg := orion.Config{
-		Width: 4, Height: 4,
-		Router: orion.RouterConfig{
-			VCs:         *vcs,
-			BufferDepth: *depth,
-			FlitBits:    *flits,
-		},
-		Tech:    orion.TechConfig{FreqGHz: *freqGHz, Vdd: *vdd, FeatureUm: *feature},
-		Traffic: orion.TrafficConfig{Pattern: orion.Uniform(), Rate: 0.1, PacketLength: 5},
-		Sim:     orion.SimConfig{MuxTreeCrossbar: *muxtree},
+	cfg, err := cf.Config()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "orion-power: %v\n", err)
+		os.Exit(2)
 	}
-	switch *routerKind {
-	case "vc":
-		cfg.Router.Kind = orion.VirtualChannel
-	case "wormhole", "wh":
-		cfg.Router.Kind = orion.Wormhole
-		cfg.Router.VCs = 0
-	case "cb":
-		cfg.Router.Kind = orion.CentralBuffered
-		cfg.Router.VCs = 0
-		cfg.Router.CentralBuffer = orion.CentralBufferConfig{
-			Banks: *cbBanks, Rows: *cbRows, ReadPorts: 2, WritePorts: 2,
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "orion-power: unknown router kind %q\n", *routerKind)
-		os.Exit(1)
-	}
-	switch *arb {
-	case "matrix":
-		cfg.Sim.Arbiter = orion.MatrixArbiter
-	case "roundrobin", "rr":
-		cfg.Sim.Arbiter = orion.RoundRobinArbiter
-	case "queuing":
-		cfg.Sim.Arbiter = orion.QueuingArbiter
-	default:
-		fmt.Fprintf(os.Stderr, "orion-power: unknown arbiter %q\n", *arb)
-		os.Exit(1)
-	}
-	if *chip2chip {
-		cfg.Link = orion.LinkConfig{ChipToChip: true, ConstantWatts: *linkWatts}
-	} else {
-		cfg.Link = orion.LinkConfig{LengthMm: *linkMm}
-	}
-
 	rep, err := orion.ComponentEnergies(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "orion-power: %v\n", err)
@@ -95,7 +45,7 @@ func main() {
 	}
 
 	pJ := func(j float64) string { return fmt.Sprintf("%10.4f pJ", j*1e12) }
-	fmt.Printf("router: %s, %d-bit flits, buffer depth %d\n", cfg.Router.Kind, *flits, *depth)
+	fmt.Printf("router: %s, %d-bit flits, buffer depth %d\n", cfg.Router.Kind, cfg.Router.FlitBits, cfg.Router.BufferDepth)
 	fmt.Println("-- FIFO buffer (Table 2) --")
 	fmt.Printf("  read energy            %s\n", pJ(rep.BufferReadJ))
 	fmt.Printf("  write energy (α=0.5)   %s\n", pJ(rep.BufferWriteAvgJ))
@@ -113,7 +63,7 @@ func main() {
 	fmt.Printf("  grant energy           %s\n", pJ(rep.ArbiterGrantJ))
 	fmt.Printf("  request lines (α=0.5)  %s\n", pJ(rep.ArbiterRequestAvgJ))
 	fmt.Println("-- link --")
-	if *chip2chip {
+	if cfg.Link.ChipToChip {
 		fmt.Printf("  constant power         %10.4f W (traffic-insensitive)\n", rep.LinkConstantW)
 	} else {
 		fmt.Printf("  traversal (α=0.5)      %s\n", pJ(rep.LinkTraversalAvgJ))

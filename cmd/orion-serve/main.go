@@ -38,6 +38,7 @@ import (
 	"syscall"
 	"time"
 
+	"orion/internal/cliconfig"
 	"orion/internal/remote"
 	"orion/internal/serve"
 )
@@ -58,12 +59,7 @@ var (
 	drainTmo = flag.Duration("drain", 10*time.Second,
 		"graceful-drain deadline: in-flight work past it is cancelled")
 
-	backendsIn = flag.String("backends", "",
-		"comma-separated orion-serve base URLs; served sweep points are dispatched to these backends over HTTP (this instance becomes a coordinator)")
-	noLocalFallback = flag.Bool("no-local-fallback", false,
-		"with -backends: fail sweep points when every backend is unreachable, instead of running them locally")
-	backendRetries = flag.Int("backend-retries", 3,
-		"with -backends: HTTP dispatch attempts per sweep point before degrading to local execution")
+	backends = cliconfig.BindBackends(flag.CommandLine)
 )
 
 func fail(format string, args ...any) {
@@ -97,26 +93,9 @@ func main() {
 	if *drainTmo <= 0 {
 		failFlag("-drain: must be positive, got %v", *drainTmo)
 	}
-	var backendURLs []string
-	if *backendsIn != "" {
-		var perr error
-		backendURLs, perr = remote.ParseBackends(*backendsIn)
-		if perr != nil {
-			failFlag("-%v", perr)
-		}
-	}
-	if *backendRetries <= 0 {
-		failFlag("-backend-retries: must be positive, got %d", *backendRetries)
-	}
-	if *backendsIn == "" {
-		explicitlySet := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { explicitlySet[f.Name] = true })
-		if explicitlySet["no-local-fallback"] {
-			failFlag("-no-local-fallback: requires -backends")
-		}
-		if explicitlySet["backend-retries"] {
-			failFlag("-backend-retries: requires -backends")
-		}
+	bopts, err := backends.Options()
+	if err != nil {
+		failFlag("%v", err)
 	}
 	if flag.NArg() > 0 {
 		failFlag("unexpected arguments: %v", flag.Args())
@@ -145,23 +124,18 @@ func main() {
 		DrainTimeout:    *drainTmo,
 	}
 	var pool *remote.Pool
-	if len(backendURLs) > 0 {
+	if len(bopts.Backends) > 0 {
 		// This instance becomes a sweep coordinator: served sweep points
 		// dispatch to the backend fleet, bounded per try by our own
 		// default request deadline so a hung backend cannot outlive the
 		// request it serves.
-		var perr error
-		pool, perr = remote.NewPool(remote.Options{
-			Backends:        backendURLs,
-			PerTryTimeout:   *deadline,
-			Retries:         *backendRetries,
-			NoLocalFallback: *noLocalFallback,
-		})
-		if perr != nil {
-			fail("%v", perr)
+		bopts.PerTryTimeout = *deadline
+		pool, err = remote.NewPool(bopts)
+		if err != nil {
+			fail("%v", err)
 		}
 		opts.RunPoint = pool.RunPoint
-		fmt.Fprintf(os.Stderr, "orion-serve: dispatching sweep points to %d backends\n", len(backendURLs))
+		fmt.Fprintf(os.Stderr, "orion-serve: dispatching sweep points to %d backends\n", len(bopts.Backends))
 	}
 	srv, err := serve.New(opts)
 	if err != nil {

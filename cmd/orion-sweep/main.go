@@ -35,7 +35,8 @@
 // A journaled sweep restarted with -resume skips every point the journal
 // already records as completed.
 //
-// Exit status: 0 success; 1 errors; 128+signal when interrupted. With
+// Exit status: 0 success; 1 errors; 2 bad flags or an invalid
+// configuration; 128+signal when interrupted. With
 // -status: 0 healthy, 3 when any journal point failed, 4 when any
 // worker lease has expired (and no point failed).
 package main
@@ -56,42 +57,24 @@ import (
 	"time"
 
 	"orion"
+	"orion/internal/cliconfig"
 	"orion/internal/prof"
 	"orion/internal/remote"
 )
 
 var (
-	preset  = flag.String("preset", "", "paper configuration: wh64, vc16, vc64, vc128, xb, cb")
+	cf       = cliconfig.Bind(flag.CommandLine, cliconfig.Sweep)
+	backends = cliconfig.BindBackends(flag.CommandLine)
+
 	ratesIn = flag.String("rates", "0.02,0.04,0.06,0.08,0.10,0.12,0.14,0.16,0.18,0.20",
 		"comma-separated injection rates")
-	samples = flag.Int("samples", 5000, "sample packets per point")
-	seed    = flag.Int64("seed", 1, "workload seed")
-
-	topoSpec = flag.String("topology", "",
-		"topology spec overriding the preset's or default 4x4 shape: torusWxH, torusWxHxD, meshWxH (e.g. mesh32x32), cmeshWxHxC")
-
-	routerKind = flag.String("router", "vc", "router kind when no preset: vc, wormhole, cb")
-	vcs        = flag.Int("vcs", 2, "virtual channels per port")
-	depth      = flag.Int("depth", 8, "buffer depth in flits")
-	flits      = flag.Int("flits", 256, "flit width in bits")
-	chip2chip  = flag.Bool("chip2chip", false, "chip-to-chip links (3 W each)")
 	csvOut     = flag.String("csv", "", "also write the curve to a CSV file for plotting")
 	cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile = flag.String("memprofile", "", "write a heap profile to this file")
 
-	faultSpec = flag.String("faults", "",
-		"inject faults: comma-separated kind:node:port[:start[:duration[:rate]]] "+
-			"(kinds: link-stall, link-drop, port-stall, bit-flip)")
-	faultLinks = flag.Int("fault-links", 0, "inject N random link-drop faults (degraded-network curve)")
-	faultSeed  = flag.Int64("fault-seed", 1, "fault schedule seed")
-	invariants = flag.String("invariants", "auto", "runtime invariant checker: auto, on, off")
-	pointTmo   = flag.Duration("point-timeout", 0, "per-point wall-clock deadline (0 = none), e.g. 30s")
-
 	journalPath = flag.String("journal", "", "write-ahead results journal (JSON lines), fsynced per completed point")
 	resumeJrnl  = flag.Bool("resume", false, "resume from an existing -journal, skipping completed points")
 	retries     = flag.Int("retries", 1, "retries per transiently-failed point (journaled sweeps; panic or point timeout only)")
-	workers     = flag.Int("workers", 0,
-		"parallel tick workers per point (0 = 1: the sweep already runs points on all cores; results are identical at any count)")
 
 	distributed = flag.Int("distributed", 0,
 		"run N worker subprocesses against the shared -journal work queue and merge their results")
@@ -101,13 +84,6 @@ var (
 		"print per-point state of the -journal sweep (done/failed/claimed/pending) and exit")
 	leaseDur = flag.Duration("lease", 5*time.Second,
 		"work-queue claim lease: a worker silent this long is presumed dead and its points are stolen")
-
-	backendsIn = flag.String("backends", "",
-		"comma-separated orion-serve base URLs (http://host:port); sweep points are dispatched to these backends over HTTP, with circuit breakers and local fallback")
-	noLocalFallback = flag.Bool("no-local-fallback", false,
-		"with -backends: fail a point (typed backend-down error) when every backend is unreachable, instead of running it locally")
-	backendRetries = flag.Int("backend-retries", 3,
-		"with -backends: HTTP dispatch attempts per point before degrading to local execution")
 )
 
 func fail(format string, args ...any) {
@@ -115,78 +91,54 @@ func fail(format string, args ...any) {
 	os.Exit(1)
 }
 
-func presetConfig(name string) (orion.Config, bool) {
-	switch name {
-	case "wh64":
-		return orion.OnChip4x4(orion.WH64(), 0), true
-	case "vc16":
-		return orion.OnChip4x4(orion.VC16(), 0), true
-	case "vc64":
-		return orion.OnChip4x4(orion.VC64(), 0), true
-	case "vc128":
-		return orion.OnChip4x4(orion.VC128(), 0), true
-	case "xb":
-		return orion.ChipToChip4x4(orion.XB(), 0), true
-	case "cb":
-		return orion.ChipToChip4x4(orion.CB(), 0), true
-	}
-	return orion.Config{}, false
-}
-
 func main() {
 	os.Exit(run())
 }
 
+// parseFlags validates every flag before any journal is touched or
+// process spawned, so a bad flag fails fast with the flag or Config
+// field named. It returns the sweep configuration, its rates and the
+// backend pool options (no backends when -backends is not given).
+func parseFlags() (cfg orion.Config, rates []float64, bopts remote.Options, err error) {
+	switch {
+	case *leaseDur <= 0:
+		// A zero lease would make every claim instantly stealable.
+		err = fmt.Errorf("-lease: must be positive, got %v", *leaseDur)
+	case *retries < 0:
+		err = fmt.Errorf("-retries: must not be negative, got %d", *retries)
+	case *distributed < 0:
+		err = fmt.Errorf("-distributed: must not be negative, got %d", *distributed)
+	case *workerMode && *distributed > 0:
+		err = errors.New("-worker and -distributed are mutually exclusive")
+	case (*workerMode || *distributed > 0 || *statusMode) && *journalPath == "":
+		err = errors.New("-worker, -distributed and -status require -journal")
+	}
+	if err == nil {
+		bopts, err = backends.Options()
+	}
+	if err == nil {
+		cfg, err = cf.Config()
+	}
+	if err == nil {
+		rates, err = cliconfig.ParseRates(*ratesIn)
+	}
+	return cfg, rates, bopts, err
+}
+
 // run is main's body, returning the process exit status so deferred
 // cleanup (profile flush, journal close) still happens before os.Exit.
-// Interrupted sweeps exit 128+signal after flushing partial results;
-// -status exits 3 when the journal records failed points and 4 when it
-// records expired leases (and no failures).
+// Bad flags exit 2; interrupted sweeps exit 128+signal after flushing
+// partial results; -status exits 3 when the journal records failed
+// points and 4 when it records expired leases (and no failures).
 func run() (status int) {
 	flag.Parse()
-	// Validate numeric flags at parse time: a zero or negative lease
-	// would make every claim instantly stealable and a negative worker
-	// count or retry budget is meaningless — fail fast with the field
-	// named, before any journal is touched or process spawned.
-	if *leaseDur <= 0 {
-		fail("-lease: must be positive, got %v", *leaseDur)
+	cfg, rates, bopts, err := parseFlags()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "orion-sweep: %v\n", err)
+		return 2
 	}
-	if *retries < 0 {
-		fail("-retries: must not be negative, got %d", *retries)
-	}
-	if *workers < 0 {
-		fail("-workers: must not be negative, got %d", *workers)
-	}
-	if *distributed < 0 {
-		fail("-distributed: must not be negative, got %d", *distributed)
-	}
-	if *pointTmo < 0 {
-		fail("-point-timeout: must not be negative, got %v", *pointTmo)
-	}
-	// The remote-dispatch flags are validated before any network or
-	// journal activity: a typo in a backend URL fails with the list
-	// position named, and the tuning flags are rejected when they cannot
-	// mean anything (no -backends to tune).
-	var backendURLs []string
-	if *backendsIn != "" {
-		var perr error
-		backendURLs, perr = remote.ParseBackends(*backendsIn)
-		if perr != nil {
-			fail("-%v", perr)
-		}
-	}
-	if *backendRetries <= 0 {
-		fail("-backend-retries: must be positive, got %d", *backendRetries)
-	}
-	if *backendsIn == "" {
-		explicitlySet := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { explicitlySet[f.Name] = true })
-		if explicitlySet["no-local-fallback"] {
-			fail("-no-local-fallback: requires -backends")
-		}
-		if explicitlySet["backend-retries"] {
-			fail("-backend-retries: requires -backends")
-		}
+	if *statusMode {
+		return printStatus(*journalPath)
 	}
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)
 	if err != nil {
@@ -201,111 +153,16 @@ func run() (status int) {
 		}
 	}()
 
-	var cfg orion.Config
-	if *preset != "" {
-		var ok bool
-		cfg, ok = presetConfig(strings.ToLower(*preset))
-		if !ok {
-			fail("unknown preset %q", *preset)
-		}
-	} else {
-		cfg = orion.Config{
-			Width: 4, Height: 4,
-			Router:  orion.RouterConfig{VCs: *vcs, BufferDepth: *depth, FlitBits: *flits},
-			Traffic: orion.TrafficConfig{Pattern: orion.Uniform(), PacketLength: 5},
-		}
-		switch *routerKind {
-		case "vc":
-			cfg.Router.Kind = orion.VirtualChannel
-		case "wormhole", "wh":
-			cfg.Router.Kind = orion.Wormhole
-		case "cb":
-			cfg.Router.Kind = orion.CentralBuffered
-			cfg.Router.CentralBuffer = orion.CentralBufferConfig{Banks: 4, Rows: 2560, ReadPorts: 2, WritePorts: 2}
-		default:
-			fail("unknown router kind %q", *routerKind)
-		}
-		if *chip2chip {
-			cfg.Link = orion.LinkConfig{ChipToChip: true, ConstantWatts: 3}
-			cfg.Tech = orion.TechConfig{FreqGHz: 1}
-		} else {
-			cfg.Link = orion.LinkConfig{LengthMm: 3}
-			cfg.Tech = orion.TechConfig{FreqGHz: 2}
-		}
-	}
-	if *topoSpec != "" {
-		spec, err := orion.ParseTopologySpec(*topoSpec)
-		if err != nil {
-			fail("%v", err)
-		}
-		spec.Apply(&cfg)
-	}
-	cfg.Sim.SamplePackets = *samples
-	cfg.Traffic.Seed = *seed
-	cfg.Sim.PointTimeout = *pointTmo
-	cfg.Sim.Workers = *workers
-	switch *invariants {
-	case "auto":
-		cfg.CheckInvariants = orion.InvariantAuto
-	case "on":
-		cfg.CheckInvariants = orion.InvariantOn
-	case "off":
-		cfg.CheckInvariants = orion.InvariantOff
-	default:
-		fail("unknown invariant mode %q (want auto, on or off)", *invariants)
-	}
-	var faults []orion.Fault
-	if *faultSpec != "" {
-		fs, err := orion.ParseFaultSpec(*faultSpec)
-		if err != nil {
-			fail("%v", err)
-		}
-		faults = append(faults, fs...)
-	}
-	if *faultLinks > 0 {
-		fs, err := orion.RandomLinkFaults(cfg, *faultSeed, *faultLinks, orion.FaultLinkDrop, 0, 0, 0)
-		if err != nil {
-			fail("%v", err)
-		}
-		faults = append(faults, fs...)
-	}
-	if len(faults) > 0 {
-		cfg.Faults = &orion.FaultsConfig{Seed: *faultSeed, Faults: faults}
-	}
-
-	var rates []float64
-	for _, tok := range strings.Split(*ratesIn, ",") {
-		r, err := strconv.ParseFloat(strings.TrimSpace(tok), 64)
-		if err != nil {
-			fail("bad rate %q: %v", tok, err)
-		}
-		rates = append(rates, r)
-	}
-
-	if *workerMode && *distributed > 0 {
-		fail("-worker and -distributed are mutually exclusive")
-	}
-	if (*workerMode || *distributed > 0 || *statusMode) && *journalPath == "" {
-		fail("-worker, -distributed and -status require -journal")
-	}
-	if *statusMode {
-		return printStatus(*journalPath)
-	}
-
 	// The backend pool, when -backends is set: points dispatch over HTTP
 	// with per-try deadlines derived from the lease, circuit breakers,
 	// and (unless opted out) local fallback. Workers and coordinators
 	// share the same pool wiring.
 	var pool *remote.Pool
 	var runner orion.PointRunner
-	if len(backendURLs) > 0 {
+	if len(bopts.Backends) > 0 {
+		bopts.Lease = *leaseDur
 		var perr error
-		pool, perr = remote.NewPool(remote.Options{
-			Backends:        backendURLs,
-			Lease:           *leaseDur,
-			Retries:         *backendRetries,
-			NoLocalFallback: *noLocalFallback,
-		})
+		pool, perr = remote.NewPool(bopts)
 		if perr != nil {
 			fail("%v", perr)
 		}
@@ -400,10 +257,7 @@ func run() (status int) {
 		// Dispatch concurrency: a couple of in-flight points per backend
 		// keeps the fleet busy without flooding any single admission
 		// queue.
-		dw := 2 * len(backendURLs)
-		if dw > len(rates) {
-			dw = len(rates)
-		}
+		dw := min(2*len(bopts.Backends), len(rates))
 		results, sweepErr = orion.SweepDistributed(ctx, cfg, rates, orion.DistributedSweepOptions{
 			Path:    qpath,
 			Workers: dw,
@@ -415,11 +269,7 @@ func run() (status int) {
 	case *journalPath != "":
 		cfg.Sim.PointRetries = *retries
 		if *resumeJrnl {
-			if n, jerr := orion.JournalPoints(*journalPath); jerr != nil {
-				fail("%v", jerr)
-			} else if n > 0 {
-				fmt.Printf("journal: resuming %s, %d points already recorded\n", *journalPath, n)
-			}
+			reportResume(*journalPath)
 		}
 		results, sweepErr = orion.SweepJournaledContext(ctx, cfg, rates,
 			orion.SweepJournalOptions{Path: *journalPath, Resume: *resumeJrnl})
@@ -495,15 +345,7 @@ func run() (status int) {
 func runCoordinator(ctx context.Context, cfg orion.Config, rates []float64) ([]*orion.Result, error) {
 	n := *distributed
 	if *resumeJrnl {
-		if st, err := orion.JournalStatus(*journalPath); err == nil && len(st) > 0 {
-			settled := 0
-			for _, p := range st {
-				if p.State == "done" || p.State == "failed" {
-					settled++
-				}
-			}
-			fmt.Printf("journal: resuming %s, %d/%d points settled\n", *journalPath, settled, len(st))
-		}
+		reportResume(*journalPath)
 	}
 	if err := orion.CreateSweepQueue(*journalPath, cfg, rates, *resumeJrnl); err != nil {
 		return nil, err
@@ -633,6 +475,22 @@ func runCoordinator(ctx context.Context, cfg orion.Config, rates []float64) ([]*
 		sweepErr = fmt.Errorf("worker fleet exited before completing the sweep: %w", sweepErr)
 	}
 	return results, sweepErr
+}
+
+// reportResume prints how much of a journal a resumed sweep will keep.
+// A journal that cannot be read is left for the sweep itself to reject.
+func reportResume(path string) {
+	st, err := orion.JournalStatus(path)
+	if err != nil || len(st) == 0 {
+		return
+	}
+	settled := 0
+	for _, p := range st {
+		if p.State == "done" || p.State == "failed" {
+			settled++
+		}
+	}
+	fmt.Printf("journal: resuming %s, %d/%d points settled\n", path, settled, len(st))
 }
 
 // workerArgs strips the coordinator-only flags from argv and appends

@@ -27,6 +27,9 @@
 //
 // SIGINT/SIGTERM stop the simulation, write a final snapshot when
 // -snapshot is set, and exit with status 128+signal.
+//
+// Exit status: 0 success; 1 runtime errors; 2 bad flags or an invalid
+// configuration; 128+signal when interrupted.
 package main
 
 import (
@@ -39,63 +42,15 @@ import (
 	"syscall"
 
 	"orion"
+	"orion/internal/cliconfig"
 )
 
 var (
-	width    = flag.Int("width", 4, "network width")
-	zdim     = flag.Int("z", 0, "third dimension radix (k-ary 3-cube; torus only)")
-	height   = flag.Int("height", 4, "network height")
-	mesh     = flag.Bool("mesh", false, "mesh instead of torus")
-	topoSpec = flag.String("topology", "",
-		"topology spec overriding -width/-height/-z/-mesh: torusWxH, torusWxHxD, meshWxH (e.g. mesh32x32), cmeshWxHxC")
+	cf = cliconfig.Bind(flag.CommandLine, cliconfig.Orion)
 
-	routerKind = flag.String("router", "vc", "router kind: vc, wormhole, cb")
-	vcs        = flag.Int("vcs", 2, "virtual channels per port (vc router)")
-	depth      = flag.Int("depth", 8, "input buffer depth in flits (per VC for vc routers)")
-	flits      = flag.Int("flits", 256, "flit width in bits")
-	cbBanks    = flag.Int("cb-banks", 4, "central buffer banks (cb router)")
-	cbRows     = flag.Int("cb-rows", 2560, "central buffer rows per bank (cb router)")
-	cbRead     = flag.Int("cb-read", 2, "central buffer read ports (cb router)")
-	cbWrite    = flag.Int("cb-write", 2, "central buffer write ports (cb router)")
-
-	chip2chip = flag.Bool("chip2chip", false, "chip-to-chip links with constant power")
-	linkMm    = flag.Float64("link-mm", 3, "on-chip link length in mm")
-	linkWatts = flag.Float64("link-watts", 3, "chip-to-chip link power in W")
-
-	freqGHz = flag.Float64("freq", 2, "clock frequency in GHz")
-	vdd     = flag.Float64("vdd", 0, "supply voltage override in V (0 = process default)")
-	feature = flag.Float64("feature", 0, "feature size in µm (0 = 0.1)")
-
-	pattern  = flag.String("pattern", "uniform", "traffic: uniform, broadcast, transpose, bitcomp, tornado, hotspot, neighbor")
-	source   = flag.Int("source", 0, "broadcast source / hotspot node")
-	fraction = flag.Float64("fraction", 0.2, "hotspot traffic fraction")
-	rate     = flag.Float64("rate", 0.1, "injection rate in packets/cycle/node")
-	pktLen   = flag.Int("packet", 5, "packet length in flits")
-	seed     = flag.Int64("seed", 1, "workload seed")
-	tracePth = flag.String("trace", "", "replay a trace file (cycle src dst per line) instead of a pattern")
-
-	samples = flag.Int("samples", 10000, "measured sample packets")
-	warmup  = flag.Int64("warmup", 1000, "warm-up cycles")
-	workers = flag.Int("workers", 0,
-		"parallel tick workers (0 = ORION_WORKERS env or all cores; capped at half the node count; results are identical at any count)")
-
-	showMap  = flag.Bool("map", true, "print the per-node power map")
-	deadlock = flag.String("deadlock", "bubble", "torus deadlock avoidance: bubble, dateline, none")
-
-	configPath = flag.String("config", "", "load the full configuration from a JSON file (other flags ignored)")
+	tracePth   = flag.String("trace", "", "replay a trace file (cycle src dst per line) instead of a pattern")
+	showMap    = flag.Bool("map", true, "print the per-node power map")
 	dumpConfig = flag.Bool("dump-config", false, "print the effective configuration as JSON and exit")
-	profileWin = flag.Int64("profile", 0, "sample power every N cycles and print the power-vs-time trace")
-
-	faultSpec = flag.String("faults", "",
-		"inject faults: comma-separated kind:node:port[:start[:duration[:rate]]] "+
-			"(kinds: link-stall, link-drop, port-stall, bit-flip)")
-	faultLinks = flag.Int("fault-links", 0, "inject N random link faults of -fault-kind instead of -faults")
-	faultKind  = flag.String("fault-kind", "link-stall", "random link fault kind: link-stall, link-drop, bit-flip")
-	faultSeed  = flag.Int64("fault-seed", 1, "fault schedule seed (drives link picks and bit-flip draws)")
-	faultStart = flag.Int64("fault-start", 0, "first faulty cycle")
-	faultDur   = flag.Int64("fault-duration", 0, "fault window in cycles (0 = permanent)")
-	faultRate  = flag.Float64("fault-rate", 0.01, "per-flit corruption probability of bit-flip faults")
-	invariants = flag.String("invariants", "auto", "runtime invariant checker: auto, on, off")
 
 	snapPath   = flag.String("snapshot", "", "periodic checksummed state snapshot file (atomic rewrite; resume with -resume)")
 	snapEvery  = flag.Int64("snapshot-every", 10000, "cycles between periodic snapshots (with -snapshot)")
@@ -109,108 +64,20 @@ func fail(format string, args ...any) {
 	os.Exit(1)
 }
 
-func buildConfig() orion.Config {
-	cfg := orion.Config{
-		Width: *width, Height: *height, Depth: *zdim, Mesh: *mesh,
-		Router: orion.RouterConfig{
-			VCs:         *vcs,
-			BufferDepth: *depth,
-			FlitBits:    *flits,
-		},
-		Tech: orion.TechConfig{FreqGHz: *freqGHz, Vdd: *vdd, FeatureUm: *feature},
-		Traffic: orion.TrafficConfig{
-			Rate:         *rate,
-			PacketLength: *pktLen,
-			Seed:         *seed,
-		},
-		Sim: orion.SimConfig{SamplePackets: *samples, WarmupCycles: *warmup},
-	}
-	if *topoSpec != "" {
-		spec, err := orion.ParseTopologySpec(*topoSpec)
-		if err != nil {
-			fail("%v", err)
-		}
-		spec.Apply(&cfg)
-	}
-
-	switch *routerKind {
-	case "vc", "virtual-channel":
-		cfg.Router.Kind = orion.VirtualChannel
-	case "wormhole", "wh":
-		cfg.Router.Kind = orion.Wormhole
-	case "cb", "central-buffered":
-		cfg.Router.Kind = orion.CentralBuffered
-		cfg.Router.CentralBuffer = orion.CentralBufferConfig{
-			Banks: *cbBanks, Rows: *cbRows, ReadPorts: *cbRead, WritePorts: *cbWrite,
-		}
-	default:
-		fail("unknown router kind %q", *routerKind)
-	}
-
-	if *chip2chip {
-		cfg.Link = orion.LinkConfig{ChipToChip: true, ConstantWatts: *linkWatts}
-	} else {
-		cfg.Link = orion.LinkConfig{LengthMm: *linkMm}
-	}
-
-	switch *pattern {
-	case "uniform":
-		cfg.Traffic.Pattern = orion.Uniform()
-	case "broadcast":
-		cfg.Traffic.Pattern = orion.BroadcastFrom(*source)
-	case "transpose":
-		cfg.Traffic.Pattern = orion.Pattern{Kind: orion.PatternTranspose}
-	case "bitcomp":
-		cfg.Traffic.Pattern = orion.Pattern{Kind: orion.PatternBitComplement}
-	case "tornado":
-		cfg.Traffic.Pattern = orion.Pattern{Kind: orion.PatternTornado}
-	case "hotspot":
-		cfg.Traffic.Pattern = orion.Pattern{Kind: orion.PatternHotspot, Source: *source, Fraction: *fraction}
-	case "neighbor":
-		cfg.Traffic.Pattern = orion.Pattern{Kind: orion.PatternNeighbor}
-	default:
-		fail("unknown pattern %q", *pattern)
-	}
-
-	switch *deadlock {
-	case "bubble":
-		cfg.Sim.Deadlock = orion.DeadlockBubble
-	case "dateline":
-		cfg.Sim.Deadlock = orion.DeadlockDateline
-	case "none":
-		cfg.Sim.Deadlock = orion.DeadlockNone
-	default:
-		fail("unknown deadlock mode %q", *deadlock)
-	}
-	return cfg
-}
-
 func main() {
 	os.Exit(run())
 }
 
 func run() int {
 	flag.Parse()
-	var cfg orion.Config
-	if *configPath != "" {
-		data, err := os.ReadFile(*configPath)
-		if err != nil {
-			fail("%v", err)
-		}
-		cfg, err = orion.LoadConfigJSON(data)
-		if err != nil {
-			fail("%v", err)
-		}
-	} else {
-		cfg = buildConfig()
+	cfg, err := cf.Config()
+	if err == nil && *tracePth != "" && (*snapPath != "" || *resumeSnap) {
+		err = errors.New("-snapshot/-resume do not apply to trace replay")
 	}
-	if *profileWin > 0 {
-		cfg.Sim.ProfileWindowCycles = *profileWin
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "orion: %v\n", err)
+		return 2
 	}
-	if *workers != 0 {
-		cfg.Sim.Workers = *workers
-	}
-	applyFaultFlags(&cfg)
 	if *dumpConfig {
 		data, err := orion.ConfigJSON(cfg)
 		if err != nil {
@@ -219,10 +86,6 @@ func run() int {
 		fmt.Println(string(data))
 		return 0
 	}
-	if *tracePth != "" && (*snapPath != "" || *resumeSnap) {
-		fail("-snapshot/-resume do not apply to trace replay")
-	}
-
 	// SIGINT/SIGTERM cancel the run; a final snapshot is written when
 	// -snapshot is set, and the process exits 128+signal.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -252,7 +115,6 @@ func run() int {
 	var (
 		res *orion.Result
 		sm  *orion.Sim
-		err error
 	)
 	switch {
 	case *tracePth != "":
@@ -341,9 +203,10 @@ func run() int {
 		}
 	}
 	if len(res.PowerProfileW) > 0 {
-		fmt.Printf("power profile (W per %d-cycle window):\n", *profileWin)
+		win := cfg.Sim.ProfileWindowCycles
+		fmt.Printf("power profile (W per %d-cycle window):\n", win)
 		for i, w := range res.PowerProfileW {
-			fmt.Printf("  %8d  %.4g\n", int64(i)*(*profileWin), w)
+			fmt.Printf("  %8d  %.4g\n", int64(i)*win, w)
 		}
 	}
 	return 0
@@ -357,54 +220,5 @@ func topoName(cfg orion.Config) string {
 		return "mesh"
 	default:
 		return "torus"
-	}
-}
-
-// applyFaultFlags translates the fault and invariant flags onto the
-// configuration (after -config loading, so flags refine a config file).
-func applyFaultFlags(cfg *orion.Config) {
-	switch *invariants {
-	case "auto":
-		cfg.CheckInvariants = orion.InvariantAuto
-	case "on":
-		cfg.CheckInvariants = orion.InvariantOn
-	case "off":
-		cfg.CheckInvariants = orion.InvariantOff
-	default:
-		fail("unknown invariant mode %q (want auto, on or off)", *invariants)
-	}
-
-	var faults []orion.Fault
-	if *faultSpec != "" {
-		fs, err := orion.ParseFaultSpec(*faultSpec)
-		if err != nil {
-			fail("%v", err)
-		}
-		faults = append(faults, fs...)
-	}
-	if *faultLinks > 0 {
-		var kind orion.FaultKind
-		switch *faultKind {
-		case "link-stall":
-			kind = orion.FaultLinkStall
-		case "link-drop":
-			kind = orion.FaultLinkDrop
-		case "bit-flip", "bitflip":
-			kind = orion.FaultBitFlip
-		default:
-			fail("unknown fault kind %q (want link-stall, link-drop or bit-flip)", *faultKind)
-		}
-		rate := 0.0
-		if kind == orion.FaultBitFlip {
-			rate = *faultRate
-		}
-		fs, err := orion.RandomLinkFaults(*cfg, *faultSeed, *faultLinks, kind, *faultStart, *faultDur, rate)
-		if err != nil {
-			fail("%v", err)
-		}
-		faults = append(faults, fs...)
-	}
-	if len(faults) > 0 {
-		cfg.Faults = &orion.FaultsConfig{Seed: *faultSeed, Faults: faults}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"orion/internal/backoff"
 	"orion/internal/queue"
 )
 
@@ -201,7 +202,7 @@ func SweepWorker(ctx context.Context, cfg Config, rates []float64, opts SweepWor
 	}
 	// Workers start their claim scans at different offsets so a fresh
 	// fleet fans out over the rate list instead of racing index 0.
-	start := int(workerHash(id) % uint64(maxInt(len(rates), 1)))
+	start := int(workerHash(id) % uint64(max(len(rates), 1)))
 
 	for {
 		if err := ctx.Err(); err != nil {
@@ -218,7 +219,7 @@ func SweepWorker(ctx context.Context, cfg Config, rates []float64, opts SweepWor
 		if idx < 0 {
 			// Every unsettled point is actively held; wait for a commit
 			// or an expiry.
-			if !sleepCtx(ctx, poll) {
+			if !backoff.Sleep(ctx, poll) {
 				return stats, ctx.Err()
 			}
 			continue
@@ -228,9 +229,11 @@ func SweepWorker(ctx context.Context, cfg Config, rates []float64, opts SweepWor
 			return stats, wrapQueueErr(err)
 		}
 		if !won {
-			// Another worker's claim landed first; back off briefly with
-			// identity-deterministic jitter to decorrelate the fleet.
-			if !sleepCtx(ctx, claimJitter(id, idx, poll)) {
+			// Another worker's claim landed first; back off for half to
+			// three quarters of a poll, keyed by worker and point so the
+			// fleet does not retry in lockstep.
+			key := workerHash(fmt.Sprintf("%s/%d", id, idx))
+			if !backoff.Sleep(ctx, backoff.Delay(1, poll/2, poll, key)) {
 				return stats, ctx.Err()
 			}
 			continue
@@ -333,42 +336,11 @@ func pickClaim(st *queue.State, start int) (idx int, steal bool) {
 }
 
 // workerHash is a stable identity hash for claim-scan rotation and
-// backoff jitter.
+// lost-claim backoff.
 func workerHash(id string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(id))
 	return h.Sum64()
-}
-
-// claimJitter derives a deterministic per-(worker,point) backoff so a
-// fleet that lost the same claim race does not retry in lockstep.
-func claimJitter(id string, idx int, poll time.Duration) time.Duration {
-	h := workerHash(fmt.Sprintf("%s/%d", id, idx))
-	span := poll
-	if span < 4*time.Millisecond {
-		span = 4 * time.Millisecond
-	}
-	return span/4 + time.Duration(h%uint64(span/2))
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// sleepCtx sleeps for d or until ctx is done, reporting whether the full
-// sleep elapsed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
 }
 
 // mergeQueueState decodes the committed payloads into results in index
@@ -435,7 +407,7 @@ func SweepQueueWait(ctx context.Context, cfg Config, rates []float64, path strin
 			results, merr := mergeQueueState(st, rates)
 			return results, errors.Join(ctx.Err(), merr)
 		}
-		sleepCtx(ctx, poll)
+		backoff.Sleep(ctx, poll)
 	}
 }
 
@@ -475,25 +447,17 @@ func SweepDistributed(ctx context.Context, cfg Config, rates []float64, opts Dis
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	if workers > len(rates) && len(rates) > 0 {
-		workers = len(rates)
-	}
+	workers = min(workers, len(rates))
 	werrs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			_, werrs[w] = SweepWorker(ctx, cfg, rates, SweepWorkerOptions{
-				Path:     opts.Path,
-				Lease:    opts.Lease,
-				Poll:     opts.Poll,
-				WorkerID: fmt.Sprintf("%s/w%d", queue.NewWorkerID(), w),
-				Run:      opts.Run,
-			})
-		}(w)
-	}
-	wg.Wait()
+	runPool(workers, workers, func(w int) {
+		_, werrs[w] = SweepWorker(ctx, cfg, rates, SweepWorkerOptions{
+			Path:     opts.Path,
+			Lease:    opts.Lease,
+			Poll:     opts.Poll,
+			WorkerID: fmt.Sprintf("%s/w%d", queue.NewWorkerID(), w),
+			Run:      opts.Run,
+		})
+	})
 
 	hdr, err := sweepQueueHeader(cfg, rates)
 	if err != nil {

@@ -40,8 +40,8 @@ func TestSweepDistributedMatchesSweep(t *testing.T) {
 			t.Errorf("rate %g: distributed result differs from sequential sweep", rates[i])
 		}
 	}
-	if n, err := JournalPoints(path); err != nil || n != len(rates) {
-		t.Fatalf("JournalPoints on queue journal = %d, %v; want %d, nil", n, err, len(rates))
+	if n, err := settledPoints(path); err != nil || n != len(rates) {
+		t.Fatalf("settled points on queue journal = %d, %v; want %d, nil", n, err, len(rates))
 	}
 }
 
@@ -203,9 +203,6 @@ func TestDistributedTypedErrors(t *testing.T) {
 	}
 	if _, err := JournalStatus(bad); !errors.Is(err, ErrJournal) {
 		t.Fatalf("JournalStatus on malformed queue: got %v, want ErrJournal", err)
-	}
-	if _, err := JournalPoints(bad); !errors.Is(err, ErrJournal) {
-		t.Fatalf("JournalPoints on malformed queue: got %v, want ErrJournal", err)
 	}
 
 	// The v1 journal's digest mismatch carries the same stale sentinel.

@@ -34,22 +34,6 @@ const (
 	FaultBitFlip
 )
 
-// String implements fmt.Stringer.
-func (k FaultKind) String() string {
-	switch k {
-	case FaultLinkStall:
-		return "link-stall"
-	case FaultLinkDrop:
-		return "link-drop"
-	case FaultPortStall:
-		return "port-stall"
-	case FaultBitFlip:
-		return "bit-flip"
-	default:
-		return fmt.Sprintf("FaultKind(%d)", int(k))
-	}
-}
-
 // Fault schedules one fault at a router port.
 type Fault struct {
 	// Kind classifies the fault.
@@ -232,20 +216,6 @@ const (
 	// InvariantOff never checks (production hot path).
 	InvariantOff
 )
-
-// String implements fmt.Stringer.
-func (m InvariantMode) String() string {
-	switch m {
-	case InvariantAuto:
-		return "auto"
-	case InvariantOn:
-		return "on"
-	case InvariantOff:
-		return "off"
-	default:
-		return fmt.Sprintf("InvariantMode(%d)", int(m))
-	}
-}
 
 // enabled resolves the mode to a concrete on/off decision.
 func (m InvariantMode) enabled() bool {

@@ -119,15 +119,17 @@ func FuzzJournalLine(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o600); err != nil {
 			t.Skip()
 		}
-		n, err := JournalPoints(path)
+		pts, err := JournalStatus(path)
 		if err != nil {
 			if !errors.Is(err, ErrJournal) {
 				t.Fatalf("rejection lacks ErrJournal: %v", err)
 			}
 			return
 		}
-		if n < 0 {
-			t.Fatalf("negative point count %d", n)
+		for i, p := range pts {
+			if p.Index != i {
+				t.Fatalf("point %d reported at index %d", i, p.Index)
+			}
 		}
 	})
 }

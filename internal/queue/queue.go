@@ -67,9 +67,10 @@ var (
 	ErrLeaseLost = errors.New("queue: lease lost, result discarded")
 )
 
-// Header is the queue journal's first line. It matches the sweep
-// journal's header schema (version, config digest, rate list) so the two
-// formats are distinguished by the version number alone.
+// Header is the queue journal's first line: the format version, the
+// sweep's config digest and its rate list. The single-process sweep
+// journal (version 1) writes the same header, so the two formats are
+// distinguished by the version number alone.
 type Header struct {
 	Version      int       `json:"version"`
 	ConfigDigest string    `json:"config_digest"`

@@ -6,11 +6,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
 
 	"orion"
+	"orion/internal/backoff"
 	"orion/internal/serve"
 )
 
@@ -88,7 +90,7 @@ func (p *Pool) RunPoint(ctx context.Context, cfg orion.Config, rate float64) (*o
 			b.breaker.succeed()
 			p.count(func(s *Stats) { s.Attempts++; s.Busy++ })
 			lastErr = derr
-			if !p.sleepRetry(ctx, attempt, rate, retryAfter) {
+			if !backoff.Sleep(ctx, p.retryDelay(attempt, rate, retryAfter)) {
 				return nil, ctx.Err()
 			}
 		default: // verdictFail
@@ -103,7 +105,7 @@ func (p *Pool) RunPoint(ctx context.Context, cfg orion.Config, rate float64) (*o
 			}
 			p.count(func(s *Stats) { s.Attempts++; s.Failures++ })
 			lastErr = derr
-			if attempt < p.opts.Retries && !p.sleepRetry(ctx, attempt, rate, 0) {
+			if attempt < p.opts.Retries && !backoff.Sleep(ctx, p.retryDelay(attempt, rate, 0)) {
 				return nil, ctx.Err()
 			}
 		}
@@ -129,28 +131,12 @@ func (p *Pool) RunPoint(ctx context.Context, cfg orion.Config, rate float64) (*o
 	return p.local(ctx, cfg, rate)
 }
 
-// sleepRetry sleeps the deterministic backoff before the next attempt,
-// raised to a 429's Retry-After hint when larger (both capped at
-// RetryMax), and reports false when ctx ended the wait early.
-func (p *Pool) sleepRetry(ctx context.Context, attempt int, rate float64, retryAfter time.Duration) bool {
-	d := retryDelay(p.opts.RetryBase, p.opts.RetryMax, attempt, rate)
-	if retryAfter > d {
-		d = retryAfter
-	}
-	if d > p.opts.RetryMax {
-		d = p.opts.RetryMax
-	}
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
+// retryDelay is the pause before the next attempt: the shared backoff
+// schedule keyed by the point's rate, raised to a 429's Retry-After hint
+// when larger, and capped at RetryMax either way.
+func (p *Pool) retryDelay(attempt int, rate float64, retryAfter time.Duration) time.Duration {
+	d := backoff.Delay(attempt, p.opts.RetryBase, p.opts.RetryMax, math.Float64bits(rate))
+	return min(max(d, retryAfter), p.opts.RetryMax)
 }
 
 // dispatch POSTs one point to one backend and classifies the outcome.

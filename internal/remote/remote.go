@@ -263,25 +263,6 @@ func (p *Pool) pick(start int) *backend {
 	return nil
 }
 
-// retryDelay computes the sleep before retry attempt (1-based):
-// exponential from base with deterministic jitter derived from the
-// point's rate and the attempt number, capped at max. Determinism keeps
-// chaos tests reproducible and decorrelates a fleet retrying the same
-// rate list without shared state.
-func retryDelay(base, max time.Duration, attempt int, rate float64) time.Duration {
-	d := base << uint(minInt(attempt-1, 16))
-	if d > max {
-		d = max
-	}
-	h := math.Float64bits(rate)*0x9e3779b97f4a7c15 + uint64(attempt)*0x517cc1b727220a95
-	// Up to +50% jitter: top byte of the hash scaled against the delay.
-	d += time.Duration(h>>56) * d / 512
-	if d > max {
-		d = max
-	}
-	return d
-}
-
 // backendOffset spreads concurrent points over the backend list by
 // hashing the rate, so a fleet of dispatch workers does not converge on
 // backend 0.
@@ -290,11 +271,4 @@ func backendOffset(rate float64, n int) int {
 		return 0
 	}
 	return int((math.Float64bits(rate) * 0x9e3779b97f4a7c15 >> 33) % uint64(n))
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -2,9 +2,14 @@ package remote
 
 import (
 	"context"
+	"errors"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"orion"
 )
 
 func TestParseBackendsValid(t *testing.T) {
@@ -119,29 +124,6 @@ func TestBreakerReleaseRevertsProbe(t *testing.T) {
 	}
 }
 
-func TestRetryDelayDeterministicAndBounded(t *testing.T) {
-	base, max := 10*time.Millisecond, 200*time.Millisecond
-	for attempt := 1; attempt <= 6; attempt++ {
-		d1 := retryDelay(base, max, attempt, 0.05)
-		d2 := retryDelay(base, max, attempt, 0.05)
-		if d1 != d2 {
-			t.Fatalf("attempt %d: non-deterministic delay %v vs %v", attempt, d1, d2)
-		}
-		if d1 < base || d1 > max {
-			t.Fatalf("attempt %d: delay %v outside [%v, %v]", attempt, d1, base, max)
-		}
-	}
-	// Exponential growth up to the cap: attempt 5 (base<<4 = 160ms) is
-	// strictly beyond attempt 1's jittered ceiling (base*1.5 = 15ms).
-	if d1, d5 := retryDelay(base, max, 1, 0.05), retryDelay(base, max, 5, 0.05); d5 <= d1 {
-		t.Fatalf("no growth: attempt 1 = %v, attempt 5 = %v", d1, d5)
-	}
-	// A huge attempt is capped, never overflowed.
-	if d := retryDelay(base, max, 60, 0.05); d != max {
-		t.Fatalf("attempt 60 delay = %v, want the %v cap", d, max)
-	}
-}
-
 func TestParseRetryAfter(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -157,16 +139,30 @@ func TestParseRetryAfter(t *testing.T) {
 	}
 }
 
+// TestSleepRetryCancelledContext: a dispatch whose context ends while it
+// sits out its retry backoff returns the context's error at once instead
+// of waiting out the hour-long delay, and does not fall back to a local
+// run.
 func TestSleepRetryCancelledContext(t *testing.T) {
-	p := &Pool{opts: Options{RetryBase: time.Hour, RetryMax: time.Hour}}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	start := time.Now()
-	if p.sleepRetry(ctx, 1, 0.05, 0) {
-		t.Fatal("sleepRetry reported a full sleep under a cancelled context")
+	broken := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "broken (injected)", http.StatusInternalServerError)
+	}))
+	defer broken.Close()
+	p, err := NewPool(Options{Backends: []string{broken.URL}, RetryBase: time.Hour, RetryMax: time.Hour})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("sleepRetry blocked %v under a cancelled context", elapsed)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if _, err := p.RunPoint(ctx, orion.OnChip4x4(orion.VC16(), 0), 0.05); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("RunPoint = %v, want the context's deadline error", err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("RunPoint blocked %v in its retry backoff after the context ended", elapsed)
+	}
+	if st := p.Stats(); st.Attempts != 1 || st.Local != 0 {
+		t.Fatalf("stats %+v, want one failed attempt and no local fallback", st)
 	}
 }
 

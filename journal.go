@@ -18,16 +18,11 @@ import (
 // with ErrJournal.
 const journalVersion = 1
 
-// journalHeader is the journal's first line, binding the file to one
-// sweep: the format version, the SHA-256 of the configuration (with the
-// injection rate normalised to zero, since the sweep overrides it per
-// point) and the exact rate list, so indices in later lines are
-// unambiguous.
-type journalHeader struct {
-	Version      int       `json:"version"`
-	ConfigDigest string    `json:"config_digest"`
-	Rates        []float64 `json:"rates"`
-}
+// A journal's first line is a queue.Header: the format version, the
+// SHA-256 of the configuration (with the injection rate normalised to
+// zero, since the sweep overrides it per point) and the exact rate list,
+// so indices in later lines are unambiguous. The distributed work queue
+// uses the same header, told apart by the version number alone.
 
 // journalPoint is one completed sweep point. Exactly one of Result and
 // Err is set. ErrKind is the machine classification resume decides with;
@@ -114,7 +109,7 @@ func journaledErr(p journalPoint) error {
 // journalState is what readJournal recovers from an existing file.
 type journalState struct {
 	hasHeader bool
-	header    journalHeader
+	header    queue.Header
 	points    []journalPoint
 	// offset is the byte offset just past the last intact line; appending
 	// resumes there, discarding a line truncated by a crash mid-write.
@@ -153,7 +148,7 @@ func readJournal(path string) (*journalState, error) {
 		line := data[:nl]
 		data = data[nl+1:]
 		if !st.hasHeader {
-			var h journalHeader
+			var h queue.Header
 			if err := json.Unmarshal(line, &h); err != nil || h.Version == 0 {
 				return nil, fmt.Errorf("%w: %s does not start with a journal header", ErrJournal, path)
 			}
@@ -268,7 +263,7 @@ func SweepJournaledContext(ctx context.Context, cfg Config, rates []float64, opt
 				return nil, fmt.Errorf("%w: %w: %s was written for a different configuration (digest %s, want %s)",
 					ErrJournal, ErrStaleJournal, opts.Path, st.header.ConfigDigest, hexDigest)
 			}
-			if !equalRates(st.header.Rates, rates) {
+			if !queue.EqualRates(st.header.Rates, rates) {
 				return nil, fmt.Errorf("%w: %w: %s was written for a different rate list",
 					ErrJournal, ErrStaleJournal, opts.Path)
 			}
@@ -316,7 +311,7 @@ func SweepJournaledContext(ctx context.Context, cfg Config, rates []float64, opt
 	defer f.Close()
 	jw := &journalWriter{f: f}
 	if !resumed {
-		if err := jw.writeLine(journalHeader{Version: journalVersion, ConfigDigest: hexDigest, Rates: rates}); err != nil {
+		if err := jw.writeLine(queue.Header{Version: journalVersion, ConfigDigest: hexDigest, Rates: rates}); err != nil {
 			return nil, err
 		}
 	}
@@ -332,41 +327,25 @@ func SweepJournaledContext(ctx context.Context, cfg Config, rates []float64, opt
 		jerrMu sync.Mutex
 		jerr   error
 	)
-	workers := runtime.NumCPU()
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				results[i], errs[i] = runPoint(ctx, cfg, rates[i])
-				p := journalPoint{Index: i, Rate: rates[i]}
-				if errs[i] == nil {
-					p.Result = results[i]
-				} else {
-					p.Err = errs[i].Error()
-					p.ErrKind = errKindOf(errs[i])
-					p.Faulted = errors.Is(errs[i], ErrFaulted)
-				}
-				if werr := jw.writeLine(p); werr != nil {
-					jerrMu.Lock()
-					if jerr == nil {
-						jerr = werr
-					}
-					jerrMu.Unlock()
-				}
+	runPool(len(pending), runtime.NumCPU(), func(k int) {
+		i := pending[k]
+		results[i], errs[i] = runPoint(ctx, cfg, rates[i])
+		p := journalPoint{Index: i, Rate: rates[i]}
+		if errs[i] == nil {
+			p.Result = results[i]
+		} else {
+			p.Err = errs[i].Error()
+			p.ErrKind = errKindOf(errs[i])
+			p.Faulted = errors.Is(errs[i], ErrFaulted)
+		}
+		if werr := jw.writeLine(p); werr != nil {
+			jerrMu.Lock()
+			if jerr == nil {
+				jerr = werr
 			}
-		}()
-	}
-	for _, i := range pending {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+			jerrMu.Unlock()
+		}
+	})
 
 	serr := collectSweepError(rates, errs)
 	switch {
@@ -378,46 +357,4 @@ func SweepJournaledContext(ctx context.Context, cfg Config, rates []float64, opt
 		return results, serr
 	}
 	return results, nil
-}
-
-// JournalPoints returns the number of settled points recorded in a sweep
-// journal — progress reporting for a resume, before the sweep starts. It
-// understands both the single-process write-ahead format (version 1,
-// counting intact point lines) and the distributed work-queue format
-// (version 2, counting committed points). A missing or empty journal
-// counts zero; a malformed one fails with an error wrapping ErrJournal.
-func JournalPoints(path string) (int, error) {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, fmt.Errorf("%w: reading %s: %v", ErrJournal, path, err)
-	}
-	if journalImageVersion(data) == queue.Version {
-		st, err := queue.DecodeState(data)
-		if err != nil {
-			return 0, wrapQueueErr(err)
-		}
-		return st.DoneCount(), nil
-	}
-	st, err := readJournal(path)
-	if err != nil {
-		return 0, err
-	}
-	return len(st.points), nil
-}
-
-// equalRates compares rate lists exactly. The journal's float64s
-// round-trip through JSON bit-exactly, so equality is the right test.
-func equalRates(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

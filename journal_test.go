@@ -42,9 +42,22 @@ func TestSweepJournaledMatchesSweep(t *testing.T) {
 	if lines := journalLines(t, path); len(lines) != 1+len(rates) {
 		t.Fatalf("journal has %d lines, want header + %d points", len(lines), len(rates))
 	}
-	if n, err := JournalPoints(path); err != nil || n != len(rates) {
-		t.Fatalf("JournalPoints = %d, %v; want %d, nil", n, err, len(rates))
+	if n, err := settledPoints(path); err != nil || n != len(rates) {
+		t.Fatalf("settled points = %d, %v; want %d, nil", n, err, len(rates))
 	}
+}
+
+// settledPoints counts the done and failed points JournalStatus reports,
+// as orion-sweep -resume does.
+func settledPoints(path string) (int, error) {
+	pts, err := JournalStatus(path)
+	n := 0
+	for _, p := range pts {
+		if p.State == "done" || p.State == "failed" {
+			n++
+		}
+	}
+	return n, err
 }
 
 // TestSweepJournaledResume simulates a crash after the first points and
@@ -158,8 +171,8 @@ func TestSweepJournaledRejectsMismatch(t *testing.T) {
 	if _, err := SweepJournaled(cfg, rates, SweepJournalOptions{Path: corrupt, Resume: true}); !errors.Is(err, ErrJournal) {
 		t.Fatalf("corrupt interior line: got %v, want ErrJournal", err)
 	}
-	if _, err := JournalPoints(corrupt); !errors.Is(err, ErrJournal) {
-		t.Fatalf("JournalPoints on corrupt journal: got %v, want ErrJournal", err)
+	if _, err := JournalStatus(corrupt); !errors.Is(err, ErrJournal) {
+		t.Fatalf("JournalStatus on corrupt journal: got %v, want ErrJournal", err)
 	}
 }
 

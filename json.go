@@ -5,201 +5,155 @@ import (
 	"fmt"
 )
 
-// JSON support: Config round-trips through JSON with human-readable enum
-// names, so simulations can be described in config files (see cmd/orion's
-// -config flag).
+// Enum spellings live here, once per enum type: the canonical names,
+// indexed by value (what String and marshalling write), plus the
+// aliases the command-line flags have always accepted. JSON config
+// files (cmd/orion's -config) and the flags (internal/cliconfig) parse
+// through the same tables, so they accept the same names.
 
-func marshalEnum(s string) ([]byte, error) { return json.Marshal(s) }
+// enumText is one enum type's spelling table.
+type enumText[T ~int] struct {
+	what, typ string
+	names     []string
+	parse     map[string]T
+}
 
-func unmarshalEnum(data []byte, what string, names map[string]int) (int, error) {
+func newEnumText[T ~int](what, typ string, names []string, aliases map[string]T) *enumText[T] {
+	e := &enumText[T]{what: what, typ: typ, names: names, parse: aliases}
+	for i, name := range names {
+		e.parse[name] = T(i)
+	}
+	return e
+}
+
+func (e *enumText[T]) string(v T) string {
+	if v >= 0 && int(v) < len(e.names) {
+		return e.names[v]
+	}
+	return fmt.Sprintf("%s(%d)", e.typ, int(v))
+}
+
+func (e *enumText[T]) unmarshalText(dst *T, text []byte) error {
+	v, ok := e.parse[string(text)]
+	if !ok {
+		return fmt.Errorf("orion: unknown %s %q", e.what, text)
+	}
+	*dst = v
+	return nil
+}
+
+// unmarshalJSON accepts a JSON string name or, for backward
+// compatibility, a bare integer.
+func (e *enumText[T]) unmarshalJSON(dst *T, data []byte) error {
 	var s string
 	if err := json.Unmarshal(data, &s); err != nil {
-		// Accept bare integers for backward compatibility.
 		var v int
 		if err2 := json.Unmarshal(data, &v); err2 == nil {
-			return v, nil
+			*dst = T(v)
+			return nil
 		}
-		return 0, fmt.Errorf("orion: %s: %w", what, err)
+		return fmt.Errorf("orion: %s: %w", e.what, err)
 	}
-	v, ok := names[s]
-	if !ok {
-		return 0, fmt.Errorf("orion: unknown %s %q", what, s)
-	}
-	return v, nil
+	return e.unmarshalText(dst, []byte(s))
 }
 
-var routerKindNames = map[string]int{
-	"virtual-channel":  int(VirtualChannel),
-	"vc":               int(VirtualChannel),
-	"wormhole":         int(Wormhole),
-	"central-buffered": int(CentralBuffered),
-	"cb":               int(CentralBuffered),
-}
-
-// MarshalJSON implements json.Marshaler.
-func (k RouterKind) MarshalJSON() ([]byte, error) { return marshalEnum(k.String()) }
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (k *RouterKind) UnmarshalJSON(data []byte) error {
-	v, err := unmarshalEnum(data, "router kind", routerKindNames)
-	if err != nil {
-		return err
-	}
-	*k = RouterKind(v)
-	return nil
-}
-
-var patternKindNames = map[string]int{
-	"uniform":        int(PatternUniform),
-	"broadcast":      int(PatternBroadcast),
-	"transpose":      int(PatternTranspose),
-	"bit-complement": int(PatternBitComplement),
-	"bitcomp":        int(PatternBitComplement),
-	"tornado":        int(PatternTornado),
-	"hotspot":        int(PatternHotspot),
-	"neighbor":       int(PatternNeighbor),
-}
+var (
+	routerKindText = newEnumText("router kind", "RouterKind",
+		[]string{"virtual-channel", "wormhole", "central-buffered"},
+		map[string]RouterKind{"vc": VirtualChannel, "wh": Wormhole, "cb": CentralBuffered})
+	patternKindText = newEnumText("traffic pattern", "PatternKind",
+		[]string{"uniform", "broadcast", "transpose", "bit-complement", "tornado", "hotspot", "neighbor"},
+		map[string]PatternKind{"bitcomp": PatternBitComplement})
+	arbiterKindText = newEnumText("arbiter kind", "ArbiterKind",
+		[]string{"matrix", "round-robin", "queuing"},
+		map[string]ArbiterKind{"roundrobin": RoundRobinArbiter, "rr": RoundRobinArbiter})
+	deadlockModeText = newEnumText("deadlock mode", "DeadlockMode",
+		[]string{"bubble", "dateline", "none"}, map[string]DeadlockMode{})
+	faultKindText = newEnumText("fault kind", "FaultKind",
+		[]string{"link-stall", "link-drop", "port-stall", "bit-flip"},
+		map[string]FaultKind{"bitflip": FaultBitFlip})
+	invariantModeText = newEnumText("invariant mode", "InvariantMode",
+		[]string{"auto", "on", "off"}, map[string]InvariantMode{})
+)
 
 // String implements fmt.Stringer.
-func (k PatternKind) String() string {
-	switch k {
-	case PatternUniform:
-		return "uniform"
-	case PatternBroadcast:
-		return "broadcast"
-	case PatternTranspose:
-		return "transpose"
-	case PatternBitComplement:
-		return "bit-complement"
-	case PatternTornado:
-		return "tornado"
-	case PatternHotspot:
-		return "hotspot"
-	case PatternNeighbor:
-		return "neighbor"
-	default:
-		return fmt.Sprintf("PatternKind(%d)", int(k))
-	}
-}
+func (k RouterKind) String() string { return routerKindText.string(k) }
 
-// MarshalJSON implements json.Marshaler.
-func (k PatternKind) MarshalJSON() ([]byte, error) { return marshalEnum(k.String()) }
+// MarshalText implements encoding.TextMarshaler.
+func (k RouterKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText implements encoding.TextUnmarshaler.
+func (k *RouterKind) UnmarshalText(text []byte) error { return routerKindText.unmarshalText(k, text) }
 
 // UnmarshalJSON implements json.Unmarshaler.
-func (k *PatternKind) UnmarshalJSON(data []byte) error {
-	v, err := unmarshalEnum(data, "traffic pattern", patternKindNames)
-	if err != nil {
-		return err
-	}
-	*k = PatternKind(v)
-	return nil
-}
-
-var arbiterKindNames = map[string]int{
-	"matrix":      int(MatrixArbiter),
-	"round-robin": int(RoundRobinArbiter),
-	"roundrobin":  int(RoundRobinArbiter),
-	"queuing":     int(QueuingArbiter),
-}
+func (k *RouterKind) UnmarshalJSON(data []byte) error { return routerKindText.unmarshalJSON(k, data) }
 
 // String implements fmt.Stringer.
-func (k ArbiterKind) String() string {
-	switch k {
-	case MatrixArbiter:
-		return "matrix"
-	case RoundRobinArbiter:
-		return "round-robin"
-	case QueuingArbiter:
-		return "queuing"
-	default:
-		return fmt.Sprintf("ArbiterKind(%d)", int(k))
-	}
-}
+func (k PatternKind) String() string { return patternKindText.string(k) }
 
-// MarshalJSON implements json.Marshaler.
-func (k ArbiterKind) MarshalJSON() ([]byte, error) { return marshalEnum(k.String()) }
+// MarshalText implements encoding.TextMarshaler.
+func (k PatternKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText implements encoding.TextUnmarshaler.
+func (k *PatternKind) UnmarshalText(text []byte) error { return patternKindText.unmarshalText(k, text) }
 
 // UnmarshalJSON implements json.Unmarshaler.
-func (k *ArbiterKind) UnmarshalJSON(data []byte) error {
-	v, err := unmarshalEnum(data, "arbiter kind", arbiterKindNames)
-	if err != nil {
-		return err
-	}
-	*k = ArbiterKind(v)
-	return nil
-}
-
-var deadlockModeNames = map[string]int{
-	"bubble":   int(DeadlockBubble),
-	"dateline": int(DeadlockDateline),
-	"none":     int(DeadlockNone),
-}
+func (k *PatternKind) UnmarshalJSON(data []byte) error { return patternKindText.unmarshalJSON(k, data) }
 
 // String implements fmt.Stringer.
-func (m DeadlockMode) String() string {
-	switch m {
-	case DeadlockBubble:
-		return "bubble"
-	case DeadlockDateline:
-		return "dateline"
-	case DeadlockNone:
-		return "none"
-	default:
-		return fmt.Sprintf("DeadlockMode(%d)", int(m))
-	}
-}
+func (k ArbiterKind) String() string { return arbiterKindText.string(k) }
 
-// MarshalJSON implements json.Marshaler.
-func (m DeadlockMode) MarshalJSON() ([]byte, error) { return marshalEnum(m.String()) }
+// MarshalText implements encoding.TextMarshaler.
+func (k ArbiterKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText implements encoding.TextUnmarshaler.
+func (k *ArbiterKind) UnmarshalText(text []byte) error { return arbiterKindText.unmarshalText(k, text) }
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (k *ArbiterKind) UnmarshalJSON(data []byte) error { return arbiterKindText.unmarshalJSON(k, data) }
+
+// String implements fmt.Stringer.
+func (m DeadlockMode) String() string { return deadlockModeText.string(m) }
+
+// MarshalText implements encoding.TextMarshaler.
+func (m DeadlockMode) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
+
+// UnmarshalText implements encoding.TextUnmarshaler.
+func (m *DeadlockMode) UnmarshalText(text []byte) error {
+	return deadlockModeText.unmarshalText(m, text)
+}
 
 // UnmarshalJSON implements json.Unmarshaler.
 func (m *DeadlockMode) UnmarshalJSON(data []byte) error {
-	v, err := unmarshalEnum(data, "deadlock mode", deadlockModeNames)
-	if err != nil {
-		return err
-	}
-	*m = DeadlockMode(v)
-	return nil
+	return deadlockModeText.unmarshalJSON(m, data)
 }
 
-var faultKindNames = map[string]int{
-	"link-stall": int(FaultLinkStall),
-	"link-drop":  int(FaultLinkDrop),
-	"port-stall": int(FaultPortStall),
-	"bit-flip":   int(FaultBitFlip),
-	"bitflip":    int(FaultBitFlip),
-}
+// String implements fmt.Stringer.
+func (k FaultKind) String() string { return faultKindText.string(k) }
 
-// MarshalJSON implements json.Marshaler.
-func (k FaultKind) MarshalJSON() ([]byte, error) { return marshalEnum(k.String()) }
+// MarshalText implements encoding.TextMarshaler.
+func (k FaultKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText implements encoding.TextUnmarshaler.
+func (k *FaultKind) UnmarshalText(text []byte) error { return faultKindText.unmarshalText(k, text) }
 
 // UnmarshalJSON implements json.Unmarshaler.
-func (k *FaultKind) UnmarshalJSON(data []byte) error {
-	v, err := unmarshalEnum(data, "fault kind", faultKindNames)
-	if err != nil {
-		return err
-	}
-	*k = FaultKind(v)
-	return nil
-}
+func (k *FaultKind) UnmarshalJSON(data []byte) error { return faultKindText.unmarshalJSON(k, data) }
 
-var invariantModeNames = map[string]int{
-	"auto": int(InvariantAuto),
-	"on":   int(InvariantOn),
-	"off":  int(InvariantOff),
-}
+// String implements fmt.Stringer.
+func (m InvariantMode) String() string { return invariantModeText.string(m) }
 
-// MarshalJSON implements json.Marshaler.
-func (m InvariantMode) MarshalJSON() ([]byte, error) { return marshalEnum(m.String()) }
+// MarshalText implements encoding.TextMarshaler.
+func (m InvariantMode) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
+
+// UnmarshalText implements encoding.TextUnmarshaler.
+func (m *InvariantMode) UnmarshalText(text []byte) error {
+	return invariantModeText.unmarshalText(m, text)
+}
 
 // UnmarshalJSON implements json.Unmarshaler.
 func (m *InvariantMode) UnmarshalJSON(data []byte) error {
-	v, err := unmarshalEnum(data, "invariant mode", invariantModeNames)
-	if err != nil {
-		return err
-	}
-	*m = InvariantMode(v)
-	return nil
+	return invariantModeText.unmarshalJSON(m, data)
 }
 
 // LoadConfigJSON parses and validates a Config from JSON. Enum fields

@@ -24,10 +24,7 @@
 // DESIGN.md / EXPERIMENTS.md for the mapping to the paper's experiments.
 package orion
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // RouterKind selects a router microarchitecture.
 type RouterKind int
@@ -43,20 +40,6 @@ const (
 	// with limited fabric ports.
 	CentralBuffered
 )
-
-// String implements fmt.Stringer.
-func (k RouterKind) String() string {
-	switch k {
-	case VirtualChannel:
-		return "virtual-channel"
-	case Wormhole:
-		return "wormhole"
-	case CentralBuffered:
-		return "central-buffered"
-	default:
-		return fmt.Sprintf("RouterKind(%d)", int(k))
-	}
-}
 
 // CentralBufferConfig sizes the shared central buffer of a
 // CentralBuffered router.

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"orion/internal/backoff"
 	"orion/internal/core"
 	"orion/internal/power"
 	"orion/internal/router"
@@ -523,36 +524,41 @@ func SweepWithRunner(ctx context.Context, cfg Config, rates []float64, run Point
 	}
 	results := make([]*Result, len(rates))
 	errs := make([]error, len(rates))
-
-	workers := runtime.NumCPU()
-	if workers > len(rates) {
-		workers = len(rates)
-	}
 	var done atomic.Int64
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				results[i], errs[i] = run(ctx, cfg, rates[i])
-				if progress != nil {
-					progress(int(done.Add(1)), len(rates))
-				}
-			}
-		}()
-	}
-	for i := range rates {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	runPool(len(rates), runtime.NumCPU(), func(i int) {
+		results[i], errs[i] = run(ctx, cfg, rates[i])
+		if progress != nil {
+			progress(int(done.Add(1)), len(rates))
+		}
+	})
 
 	if serr := collectSweepError(rates, errs); serr != nil {
 		return results, serr
 	}
 	return results, nil
+}
+
+// runPool calls fn(i) for every i in [0, n) on at most workers
+// goroutines and returns once every call has. It is the one bounded pool
+// behind the plain, journaled and distributed sweep paths, so a
+// thousand-point sweep spawns a dozen goroutines, not a thousand.
+func runPool(n, workers int, fn func(i int)) {
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				fn(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
 }
 
 // collectSweepError aggregates per-point failures into a *SweepError in
@@ -587,6 +593,18 @@ func RunPoint(ctx context.Context, cfg Config, rate float64) (*Result, error) {
 	return runPoint(ctx, cfg, rate)
 }
 
+// Sweep-point retries back off from pointRetryBase, doubling per attempt
+// up to pointRetryMax, with jitter keyed by the point's rate.
+const (
+	pointRetryBase = 100 * time.Millisecond
+	pointRetryMax  = 5 * time.Second
+)
+
+// pointRetryDelay is the pause before a sweep point's retry attempt.
+func pointRetryDelay(attempt int, rate float64) time.Duration {
+	return backoff.Delay(attempt, pointRetryBase, pointRetryMax, math.Float64bits(rate))
+}
+
 // runPoint runs one sweep point, converting panics to errors, applying
 // the per-point deadline, and retrying transient failures up to
 // SimConfig.PointRetries times with jittered backoff. Only failures that
@@ -610,35 +628,12 @@ func runPoint(ctx context.Context, cfg Config, rate float64) (*Result, error) {
 		if !errors.Is(err, errPointPanic) && !errors.Is(err, context.DeadlineExceeded) {
 			break
 		}
-		if !pointBackoff(ctx, attempt, rate) {
+		if !backoff.Sleep(ctx, pointRetryDelay(attempt, rate)) {
 			break
 		}
 		res, err = runPointOnce(ctx, cfg, rate)
 	}
 	return res, err
-}
-
-// pointBackoffDelay is the pure schedule behind pointBackoff: the
-// attempt number scales a per-rate jitter base derived from the rate's
-// bit pattern, so identical sweeps back off identically while retries
-// across a failing pool decorrelate.
-func pointBackoffDelay(attempt int, rate float64) time.Duration {
-	jitterMs := 50 + (math.Float64bits(rate)*0x9e3779b97f4a7c15)>>56%100
-	return time.Duration(attempt) * time.Duration(jitterMs) * time.Millisecond
-}
-
-// pointBackoff sleeps before a retry under pointBackoffDelay's schedule.
-// It returns false if the sweep was cancelled while waiting (a cancelled
-// context returns immediately).
-func pointBackoff(ctx context.Context, attempt int, rate float64) bool {
-	t := time.NewTimer(pointBackoffDelay(attempt, rate))
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
 }
 
 // runPointOnce is a single attempt at a sweep point.

@@ -66,6 +66,10 @@ func (cfg Config) Validate() error {
 		"must not be negative, got %d", cfg.Sim.ProgressWindowCycles)
 	check(cfg.Sim.PointTimeout >= 0, "Sim.PointTimeout",
 		"must not be negative, got %v", cfg.Sim.PointTimeout)
+	check(cfg.Sim.PointRetries >= 0, "Sim.PointRetries",
+		"must not be negative, got %d", cfg.Sim.PointRetries)
+	check(cfg.Sim.Workers >= 0, "Sim.Workers",
+		"must not be negative, got %d", cfg.Sim.Workers)
 	check(cfg.CheckInvariants >= InvariantAuto && cfg.CheckInvariants <= InvariantOff,
 		"CheckInvariants", "unknown invariant mode %d", int(cfg.CheckInvariants))
 
