@@ -35,7 +35,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseFaultSpec -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzParseTrace -fuzztime 10s ./internal/traffic
 	$(GO) test -run '^$$' -fuzz FuzzLoadSnapshot -fuzztime 10s .
-	$(GO) test -run '^$$' -fuzz FuzzJournalLine -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzQueueLine -fuzztime 10s ./internal/queue
 	$(GO) test -run '^$$' -fuzz FuzzServeRequest -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzParseBackends -fuzztime 10s ./internal/remote

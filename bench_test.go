@@ -9,6 +9,7 @@ package orion
 // by cmd/orion-exp.
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 )
@@ -354,3 +355,35 @@ func BenchmarkComponentEnergies(b *testing.B) {
 		}
 	}
 }
+
+// --- Sweep journal: work-queue overhead per point ---
+
+// benchQueueOverhead times journaled sweeps of n points whose runner
+// returns a canned result at once, so only the work-queue journal is
+// measured: claim and commit records, their fsyncs, and the replay. The
+// replay is incremental, so ns/point should not grow with n.
+func benchQueueOverhead(b *testing.B, n int) {
+	cfg := OnChip4x4(VC16(), 0)
+	cfg.Sim.WarmupCycles, cfg.Sim.SamplePackets = 100, 100
+	canned, err := RunPoint(context.Background(), cfg, 0.02)
+	if err != nil {
+		b.Fatal(err)
+	}
+	run := func(context.Context, Config, float64) (*Result, error) { return canned, nil }
+	rates := make([]float64, n)
+	for i := range rates {
+		rates[i] = 0.01 + 0.05*float64(i)/float64(n)
+	}
+	path := filepath.Join(b.TempDir(), "sweep.wal")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := SweepDistributed(context.Background(), cfg, rates, DistributedSweepOptions{Path: path, Run: run}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/point")
+}
+
+func BenchmarkQueueOverhead128(b *testing.B)  { benchQueueOverhead(b, 128) }
+func BenchmarkQueueOverhead512(b *testing.B)  { benchQueueOverhead(b, 512) }
+func BenchmarkQueueOverhead4096(b *testing.B) { benchQueueOverhead(b, 4096) }

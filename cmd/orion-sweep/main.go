@@ -33,7 +33,8 @@
 // SIGINT/SIGTERM cancel the in-flight points, flush the journal and
 // partial results (table and CSV), and exit with status 128+signal.
 // A journaled sweep restarted with -resume skips every point the journal
-// already records as completed.
+// already records as completed; points the killed process still held
+// run once their leases expire (at most one -lease later).
 //
 // Exit status: 0 success; 1 errors; 2 bad flags or an invalid
 // configuration; 128+signal when interrupted. With
@@ -72,7 +73,7 @@ var (
 	cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile = flag.String("memprofile", "", "write a heap profile to this file")
 
-	journalPath = flag.String("journal", "", "write-ahead results journal (JSON lines), fsynced per completed point")
+	journalPath = flag.String("journal", "", "write-ahead sweep journal (work-queue JSON lines), fsynced per claim and per completed point")
 	resumeJrnl  = flag.Bool("resume", false, "resume from an existing -journal, skipping completed points")
 	retries     = flag.Int("retries", 1, "retries per transiently-failed point (journaled sweeps; panic or point timeout only)")
 
@@ -239,10 +240,11 @@ func run() (status int) {
 		if results == nil && sweepErr != nil {
 			fail("%v", sweepErr)
 		}
-	case pool != nil:
-		// Remote dispatch always runs through the work-queue protocol so
-		// the exactly-one-commit invariant holds end to end; without an
-		// explicit -journal the queue lives in a throwaway file.
+	case pool != nil || *journalPath != "":
+		// Journaled sweeps and remote dispatch both run through the
+		// work-queue protocol, so the exactly-one-commit invariant holds
+		// end to end; remote dispatch without an explicit -journal keeps
+		// its queue in a throwaway file.
 		cfg.Sim.PointRetries = *retries
 		qpath := *journalPath
 		if qpath == "" {
@@ -254,25 +256,25 @@ func run() (status int) {
 			qf.Close()
 			defer os.Remove(qpath)
 		}
-		// Dispatch concurrency: a couple of in-flight points per backend
-		// keeps the fleet busy without flooding any single admission
-		// queue.
-		dw := min(2*len(bopts.Backends), len(rates))
+		resume := *resumeJrnl && *journalPath != ""
+		if resume {
+			reportResume(qpath)
+		}
+		// Points in flight: NumCPU locally; with backends, a couple per
+		// backend keeps the fleet busy without flooding any single
+		// admission queue.
+		inFlight := 0
+		if pool != nil {
+			inFlight = min(2*len(bopts.Backends), len(rates))
+		}
 		results, sweepErr = orion.SweepDistributed(ctx, cfg, rates, orion.DistributedSweepOptions{
 			Path:    qpath,
-			Workers: dw,
+			Workers: inFlight,
 			Lease:   *leaseDur,
-			Resume:  *resumeJrnl && *journalPath != "",
+			Resume:  resume,
 			Run:     runner,
 		})
 		printPoolStats()
-	case *journalPath != "":
-		cfg.Sim.PointRetries = *retries
-		if *resumeJrnl {
-			reportResume(*journalPath)
-		}
-		results, sweepErr = orion.SweepJournaledContext(ctx, cfg, rates,
-			orion.SweepJournalOptions{Path: *journalPath, Resume: *resumeJrnl})
 	default:
 		results, sweepErr = orion.SweepContext(ctx, cfg, rates)
 	}
@@ -528,9 +530,9 @@ func workerArgs(argv []string) []string {
 	return append(out, "-worker")
 }
 
-// printStatus is -status: the per-point state of a sweep journal (either
-// format), for inspecting a crashed or in-flight sweep. The exit status
-// is machine-readable health: 0 when every point is done, pending or
+// printStatus is -status: the per-point state of a sweep journal, for
+// inspecting a crashed or in-flight sweep. The exit status is
+// machine-readable health: 0 when every point is done, pending or
 // freshly claimed; 3 when any point failed; 4 when any claim's lease has
 // expired (a worker presumed dead) and nothing failed — so scripts and
 // monitors can branch on a sweep's health without parsing the table.

@@ -9,7 +9,6 @@ import (
 	"hash/fnv"
 	"os"
 	"runtime"
-	"sync"
 	"time"
 
 	"orion/internal/backoff"
@@ -62,48 +61,68 @@ func sweepQueueHeader(cfg Config, rates []float64) (queue.Header, error) {
 // wrapQueueErr ties internal/queue's sentinels into the package's error
 // taxonomy: every queue-file rejection also satisfies ErrJournal (the
 // journal-layer sentinel callers already branch on), while ErrLeaseLost
-// passes through untouched.
+// passes through untouched. A file in another format version — in
+// practice the retired version-1 single-process journal — says how to
+// go on.
 func wrapQueueErr(err error) error {
-	if err == nil || errors.Is(err, ErrJournal) || errors.Is(err, ErrLeaseLost) {
+	switch {
+	case err == nil || errors.Is(err, ErrJournal) || errors.Is(err, ErrLeaseLost):
 		return err
+	case errors.Is(err, queue.ErrVersion):
+		return fmt.Errorf("%w: %w (version-1 sweep journals are no longer read; re-run the sweep without -resume to start it over)",
+			ErrJournal, err)
 	}
 	return fmt.Errorf("%w: %w", ErrJournal, err)
 }
 
-// CreateSweepQueue initialises (or, with resume set, rejoins) the
-// distributed work-queue journal for a sweep at path. With resume, an
+// openSweepQueue initialises (or, with resume set, rejoins) the queue
+// journal for a sweep at path and returns it open. With resume, an
 // existing queue's header must match the configuration and rate list —
 // a mismatch fails with an error wrapping ErrStaleJournal — and every
-// point settled by a transient failure (timeout, panic) is re-opened
-// for re-running, mirroring SweepJournaled's resume semantics. Without
-// resume, any existing file is truncated and the sweep starts over.
-func CreateSweepQueue(path string, cfg Config, rates []float64, resume bool) error {
+// point settled by a transient failure (timeout, panic) is re-opened for
+// re-running; a missing file is a fresh start. Without resume, any
+// existing file is truncated and the sweep starts over.
+func openSweepQueue(path string, cfg Config, rates []float64, resume bool) (*queue.File, error) {
 	if err := cfg.Validate(); err != nil {
-		return err
+		return nil, err
 	}
 	hdr, err := sweepQueueHeader(cfg, rates)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	qf, err := queue.Create(path, hdr, !resume)
 	if err != nil {
-		return wrapQueueErr(err)
+		return nil, wrapQueueErr(err)
 	}
-	defer qf.Close()
 	if resume {
 		st, err := qf.Load()
-		if err != nil {
-			return wrapQueueErr(err)
-		}
-		for i := range st.Points {
+		for i := 0; err == nil && i < len(st.Points); i++ {
 			if st.Points[i].Status == queue.Done && !st.Points[i].Final {
-				if err := qf.Reset(i); err != nil {
-					return wrapQueueErr(err)
-				}
+				err = qf.Reset(i)
 			}
 		}
+		if err != nil {
+			qf.Close()
+			return nil, wrapQueueErr(err)
+		}
 	}
-	return nil
+	return qf, nil
+}
+
+// CreateSweepQueue initialises (or, with resume set, rejoins) the
+// work-queue journal for a sweep at path, for SweepWorker processes to
+// fill. Resume semantics are SweepJournaledContext's: an existing
+// queue's header must match the configuration and rate list — a
+// mismatch fails with an error wrapping ErrStaleJournal — and every
+// point settled by a transient failure is re-opened for re-running.
+// Without resume, any existing file is truncated and the sweep starts
+// over.
+func CreateSweepQueue(path string, cfg Config, rates []float64, resume bool) error {
+	qf, err := openSweepQueue(path, cfg, rates, resume)
+	if err != nil {
+		return err
+	}
+	return qf.Close()
 }
 
 // SweepWorkerOptions configures one queue worker.
@@ -155,32 +174,70 @@ type WorkerStats struct {
 var errWorkerCrashed = errors.New("orion: worker crashed (chaos hook)")
 
 // SweepWorker joins the queue journal at opts.Path and runs sweep points
-// until every point is settled (returns nil) or ctx is cancelled
-// (in-flight claims are dropped for other workers to take, and ctx's
-// error returned). The configuration and rate list must match the
-// queue's header: a mismatch fails with an error wrapping
+// one at a time until every point is settled (returns nil) or ctx is
+// cancelled (the in-flight claim is dropped for other workers to take,
+// and ctx's error returned). The configuration and rate list must match
+// the queue's header: a mismatch fails with an error wrapping
 // ErrStaleJournal. Each claimed point runs with the same per-point
 // retry/backoff machinery as Sweep; a worker paused past its lease
 // discards its result when it finds its claim stolen (ErrLeaseLost,
 // counted in the returned stats) and moves on.
 func SweepWorker(ctx context.Context, cfg Config, rates []float64, opts SweepWorkerOptions) (WorkerStats, error) {
-	var stats WorkerStats
 	if opts.Path == "" {
-		return stats, fmt.Errorf("orion: SweepWorker requires a queue journal path")
+		return WorkerStats{}, fmt.Errorf("orion: SweepWorker requires a queue journal path")
 	}
 	if err := cfg.Validate(); err != nil {
-		return stats, err
+		return WorkerStats{}, err
 	}
 	hdr, err := sweepQueueHeader(cfg, rates)
 	if err != nil {
-		return stats, err
+		return WorkerStats{}, err
 	}
 	qf, err := queue.Open(opts.Path, hdr)
 	if err != nil {
-		return stats, wrapQueueErr(err)
+		return WorkerStats{}, wrapQueueErr(err)
 	}
 	defer qf.Close()
+	return claimLoop(ctx, qf, cfg, rates, opts, 1)
+}
 
+// finishedPoint is one claimed point's run, reported by the goroutine
+// that ran it to its claim loop.
+type finishedPoint struct {
+	idx int
+	// err is the run's error, or the encoding error when payload is nil.
+	err error
+	// payload is the encoded journalPoint for the done record.
+	payload []byte
+	final   bool
+}
+
+// runClaimed runs one claimed point and encodes its journal payload.
+func runClaimed(ctx context.Context, run PointRunner, cfg Config, rates []float64, idx int) finishedPoint {
+	res, err := run(ctx, cfg, rates[idx])
+	p := journalPoint{Index: idx, Rate: rates[idx], Result: res}
+	if err != nil {
+		p.Result, p.Err, p.ErrKind, p.Faulted = nil, err.Error(), errKindOf(err), errors.Is(err, ErrFaulted)
+	}
+	payload, merr := json.Marshal(p)
+	if merr != nil {
+		err = fmt.Errorf("orion: encoding queue result: %w", merr)
+	}
+	return finishedPoint{idx: idx, err: err, payload: payload, final: err == nil || deterministicKind(p.ErrKind)}
+}
+
+// claimLoop is one worker on an open queue journal: a single loop that
+// claims points, keeps up to slots of them running at once, heartbeats
+// them and commits each result as it lands, until every point is
+// settled (nil) or ctx is cancelled (ctx's error). The loop alone reads
+// and claims, so the points of one process never race each other for a
+// claim, and an idle loop wakes as soon as one of its own points
+// finishes. Claims, beats and commits stay per point: exactly one commit
+// per point takes effect whoever runs it. Points cut short by
+// cancellation or a journal failure have their claims dropped, so other
+// workers take them without waiting out the lease.
+func claimLoop(ctx context.Context, qf *queue.File, cfg Config, rates []float64, opts SweepWorkerOptions, slots int) (WorkerStats, error) {
+	var stats WorkerStats
 	id := opts.WorkerID
 	if id == "" {
 		id = queue.NewWorkerID()
@@ -204,131 +261,140 @@ func SweepWorker(ctx context.Context, cfg Config, rates []float64, opts SweepWor
 	// fleet fans out over the rate list instead of racing index 0.
 	start := int(workerHash(id) % uint64(max(len(rates), 1)))
 
+	runCtx, stop := context.WithCancel(ctx)
+	defer stop()
+	// One buffer slot per point in flight: a finished point hands over
+	// its result without waiting for the loop to finish a journal write.
+	finished := make(chan finishedPoint, slots)
+	running := make(map[int]bool, slots)
+	// Heartbeat the running claims, so a healthy long point is never
+	// stolen. Beats are fire-and-forget: if a lease is lost anyway (the
+	// whole process was paused), Commit detects it.
+	beat := time.NewTicker(max(lease/3, time.Millisecond))
+	defer beat.Stop()
+	var fatal error
+
 	for {
-		if err := ctx.Err(); err != nil {
-			return stats, err
-		}
-		st, err := qf.Load()
-		if err != nil {
-			return stats, wrapQueueErr(err)
-		}
-		if st.Complete() {
-			return stats, nil
-		}
-		idx, steal := pickClaim(st, start)
-		if idx < 0 {
-			// Every unsettled point is actively held; wait for a commit
-			// or an expiry.
-			if !backoff.Sleep(ctx, poll) {
-				return stats, ctx.Err()
+		var wait time.Duration
+		if len(running) < slots && runCtx.Err() == nil {
+			st, err := qf.Load()
+			if err != nil {
+				fatal = wrapQueueErr(err)
+				stop()
+				continue
 			}
-			continue
-		}
-		won, _, err := qf.TryClaim(idx, id, lease)
-		if err != nil {
-			return stats, wrapQueueErr(err)
-		}
-		if !won {
-			// Another worker's claim landed first; back off for half to
-			// three quarters of a poll, keyed by worker and point so the
-			// fleet does not retry in lockstep.
-			key := workerHash(fmt.Sprintf("%s/%d", id, idx))
-			if !backoff.Sleep(ctx, backoff.Delay(1, poll/2, poll, key)) {
-				return stats, ctx.Err()
+			if st.Complete() && len(running) == 0 {
+				return stats, nil
 			}
-			continue
-		}
-		stats.Claims++
-		if steal {
-			stats.Steals++
-		}
-		if opts.dieAfterClaims > 0 && stats.Claims >= opts.dieAfterClaims {
-			return stats, errWorkerCrashed
-		}
-		if opts.holdPoint != nil {
-			opts.holdPoint(idx)
-		}
-
-		// Heartbeat the claim while the point runs, so a healthy long
-		// point is never stolen. Beats are fire-and-forget: if the lease
-		// is lost anyway (e.g. the whole process was paused), Commit
-		// detects it.
-		hbStop := make(chan struct{})
-		var hbWG sync.WaitGroup
-		hbWG.Add(1)
-		go func() {
-			defer hbWG.Done()
-			t := time.NewTicker(lease / 3)
-			defer t.Stop()
-			for {
-				select {
-				case <-hbStop:
-					return
-				case <-t.C:
-					_ = qf.Beat(idx, id, lease)
+			idx, steal := pickClaim(st, start, running)
+			if idx < 0 {
+				// Every unsettled point is actively held; wait for a
+				// commit, an expiry or one of our own points.
+				wait = poll
+			} else if won, _, err := qf.TryClaim(idx, id, lease); err != nil {
+				fatal = wrapQueueErr(err)
+				stop()
+				continue
+			} else if !won {
+				// Another worker's claim landed first; back off for half
+				// to three quarters of a poll, keyed by worker and point
+				// so the fleet does not retry in lockstep.
+				wait = backoff.Delay(1, poll/2, poll, workerHash(fmt.Sprintf("%s/%d", id, idx)))
+			} else {
+				stats.Claims++
+				if steal {
+					stats.Steals++
 				}
+				if opts.dieAfterClaims > 0 && stats.Claims >= opts.dieAfterClaims {
+					// Abandon every claim: no drop, no commit.
+					stop()
+					for range running {
+						<-finished
+					}
+					return stats, errWorkerCrashed
+				}
+				if opts.holdPoint != nil {
+					opts.holdPoint(idx)
+				}
+				running[idx] = true
+				go func() { finished <- runClaimed(runCtx, run, cfg, rates, idx) }()
+				continue
 			}
-		}()
-		res, rerr := run(ctx, cfg, rates[idx])
-		close(hbStop)
-		hbWG.Wait()
-		if rerr != nil && errors.Is(rerr, ErrBackendDown) {
-			stats.BackendDown++
 		}
-
-		if rerr != nil && ctx.Err() != nil {
-			// The sweep is being cancelled, not the point organically
-			// failing: release the claim immediately so surviving
-			// workers re-run it without waiting out the lease.
-			_ = qf.Drop(idx, id)
+		if len(running) == 0 && runCtx.Err() != nil {
+			if fatal != nil {
+				return stats, fatal
+			}
 			return stats, ctx.Err()
 		}
 
-		p := journalPoint{Index: idx, Rate: rates[idx]}
-		if rerr == nil {
-			p.Result = res
-		} else {
-			p.Err = rerr.Error()
-			p.ErrKind = errKindOf(rerr)
-			p.Faulted = errors.Is(rerr, ErrFaulted)
+		var timer *time.Timer
+		var expired <-chan time.Time
+		if wait > 0 {
+			timer = time.NewTimer(wait)
+			expired = timer.C
 		}
-		payload, merr := json.Marshal(p)
-		if merr != nil {
-			return stats, fmt.Errorf("orion: encoding queue result: %w", merr)
+		var done <-chan struct{}
+		if runCtx.Err() == nil {
+			done = runCtx.Done()
 		}
-		final := rerr == nil || deterministicKind(p.ErrKind)
-		switch cerr := qf.Commit(idx, id, payload, final); {
-		case errors.Is(cerr, ErrLeaseLost):
-			// Paused past the lease and stolen from: the thief re-runs
-			// the point; this result is discarded.
-			stats.LeasesLost++
-		case cerr != nil:
-			return stats, wrapQueueErr(cerr)
-		default:
-			stats.Commits++
+		select {
+		case p := <-finished:
+			delete(running, p.idx)
+			if errors.Is(p.err, ErrBackendDown) {
+				stats.BackendDown++
+			}
+			if p.payload == nil && fatal == nil {
+				// Nothing to commit: the result did not encode.
+				fatal = p.err
+				stop()
+			}
+			if fatal != nil || (p.err != nil && runCtx.Err() != nil) {
+				// The sweep is being stopped, not the point organically
+				// failing: release the claim at once.
+				_ = qf.Drop(p.idx, id)
+				break
+			}
+			switch err := qf.Commit(p.idx, id, p.payload, p.final); {
+			case errors.Is(err, ErrLeaseLost):
+				// Paused past the lease and stolen from: the thief
+				// re-runs the point; this result is discarded.
+				stats.LeasesLost++
+			case err != nil:
+				fatal = wrapQueueErr(err)
+				stop()
+			default:
+				stats.Commits++
+			}
+		case <-beat.C:
+			for idx := range running {
+				_ = qf.Beat(idx, id, lease)
+			}
+		case <-expired:
+		case <-done:
+		}
+		if timer != nil {
+			timer.Stop()
 		}
 	}
 }
 
 // pickClaim chooses the next point to claim, scanning from the worker's
-// rotation offset: first a pending point, failing that a claim whose
-// lease has expired (a steal candidate). Returns -1 when every
-// unsettled point is actively held.
-func pickClaim(st *queue.State, start int) (idx int, steal bool) {
+// rotation offset and skipping the points it is running: first a pending
+// point, failing that a claim whose lease has expired (a steal
+// candidate). Returns -1 when every unsettled point is actively held.
+func pickClaim(st *queue.State, start int, running map[int]bool) (idx int, steal bool) {
 	n := len(st.Points)
-	if n == 0 {
-		return -1, false
-	}
 	for off := 0; off < n; off++ {
 		i := (start + off) % n
-		if st.Points[i].Status == queue.Pending {
+		if st.Points[i].Status == queue.Pending && !running[i] {
 			return i, false
 		}
 	}
 	now := time.Now().UnixMilli()
 	for off := 0; off < n; off++ {
 		i := (start + off) % n
-		if st.Points[i].Status == queue.Claimed && now > st.Points[i].Deadline {
+		if st.Points[i].Status == queue.Claimed && now > st.Points[i].Deadline && !running[i] {
 			return i, true
 		}
 	}
@@ -415,7 +481,8 @@ func SweepQueueWait(ctx context.Context, cfg Config, rates []float64, path strin
 type DistributedSweepOptions struct {
 	// Path is the shared queue journal.
 	Path string
-	// Workers is the number of in-process workers; <= 0 means NumCPU.
+	// Workers is the number of points this process runs at once; <= 0
+	// means NumCPU.
 	Workers int
 	// Lease and Poll tune the workers (see SweepWorkerOptions).
 	Lease, Poll time.Duration
@@ -428,63 +495,47 @@ type DistributedSweepOptions struct {
 	Run PointRunner
 }
 
-// SweepDistributed runs a sweep through the work-queue protocol with
-// in-process workers: it creates (or resumes) the queue journal at
-// opts.Path, runs opts.Workers concurrent SweepWorker loops, and merges
+// SweepDistributed runs a sweep through the work-queue protocol in this
+// process: it creates (or resumes) the queue journal at opts.Path, runs
+// one claim loop with up to opts.Workers points in flight, and merges
 // the committed results. The merged results are byte-identical to
 // Sweep(cfg, rates) — the protocol guarantees exactly one committed
 // result per point and point runs are deterministic. Separate worker
 // processes (orion-sweep -worker) may join the same journal while this
-// runs; the merge does not care who committed each point.
+// runs; the merge does not care who committed each point, and points a
+// killed process still holds are re-run once their leases expire.
 func SweepDistributed(ctx context.Context, cfg Config, rates []float64, opts DistributedSweepOptions) ([]*Result, error) {
 	if opts.Path == "" {
 		return nil, fmt.Errorf("orion: SweepDistributed requires a queue journal path")
 	}
-	if err := CreateSweepQueue(opts.Path, cfg, rates, opts.Resume); err != nil {
+	qf, err := openSweepQueue(opts.Path, cfg, rates, opts.Resume)
+	if err != nil {
 		return nil, err
 	}
+	defer qf.Close()
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	workers = min(workers, len(rates))
-	werrs := make([]error, workers)
-	runPool(workers, workers, func(w int) {
-		_, werrs[w] = SweepWorker(ctx, cfg, rates, SweepWorkerOptions{
-			Path:     opts.Path,
-			Lease:    opts.Lease,
-			Poll:     opts.Poll,
-			WorkerID: fmt.Sprintf("%s/w%d", queue.NewWorkerID(), w),
-			Run:      opts.Run,
-		})
-	})
+	_, werr := claimLoop(ctx, qf, cfg, rates, SweepWorkerOptions{
+		Lease: opts.Lease,
+		Poll:  opts.Poll,
+		Run:   opts.Run,
+	}, workers)
 
-	hdr, err := sweepQueueHeader(cfg, rates)
-	if err != nil {
-		return nil, err
-	}
-	qf, err := queue.Open(opts.Path, hdr)
-	if err != nil {
-		return nil, wrapQueueErr(err)
-	}
-	defer qf.Close()
 	st, err := qf.Load()
 	if err != nil {
 		return nil, wrapQueueErr(err)
 	}
 	results, merr := mergeQueueState(st, rates)
 	if !st.Complete() {
-		// Every worker exited without finishing the queue — cancellation
-		// or worker failures. Surface them with the partial merge.
-		joined := []error{ctx.Err()}
-		for _, werr := range werrs {
-			if werr != nil && !errors.Is(werr, context.Canceled) {
-				joined = append(joined, werr)
-			}
+		// The loop stopped without finishing the queue: cancellation or
+		// a journal failure. Surface it with the partial merge.
+		if errors.Is(werr, context.Canceled) {
+			werr = nil
 		}
-		joined = append(joined, merr)
 		return results, fmt.Errorf("orion: distributed sweep incomplete (%d/%d points settled): %w",
-			st.DoneCount(), len(rates), errors.Join(joined...))
+			st.DoneCount(), len(rates), errors.Join(ctx.Err(), werr, merr))
 	}
 	return results, merr
 }
@@ -507,11 +558,11 @@ type PointState struct {
 	Err string
 }
 
-// JournalStatus reports per-point state for a sweep journal — either the
-// single-process write-ahead format (version 1) or the distributed
-// work-queue format (version 2) — for operators inspecting a crashed or
-// in-flight fleet. A missing or empty journal yields an empty slice; a
-// malformed one fails with an error wrapping ErrJournal.
+// JournalStatus reports per-point state for a sweep journal, for
+// operators inspecting a crashed or in-flight sweep or fleet. A missing
+// or empty journal yields an empty slice; a malformed one — or a
+// version-1 journal, which is no longer read — fails with an error
+// wrapping ErrJournal.
 func JournalStatus(path string) ([]PointState, error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -523,37 +574,11 @@ func JournalStatus(path string) ([]PointState, error) {
 	if len(data) == 0 {
 		return nil, nil
 	}
-	if journalImageVersion(data) == queue.Version {
-		st, err := queue.DecodeState(data)
-		if err != nil {
-			return nil, wrapQueueErr(err)
-		}
-		return queuePointStates(st), nil
-	}
-	st, err := readJournal(path)
+	st, err := queue.DecodeState(data)
 	if err != nil {
-		return nil, err
+		return nil, wrapQueueErr(fmt.Errorf("%s: %w", path, err))
 	}
-	if !st.hasHeader {
-		return nil, nil
-	}
-	out := make([]PointState, len(st.header.Rates))
-	for i, r := range st.header.Rates {
-		out[i] = PointState{Index: i, Rate: r, State: "pending"}
-	}
-	for _, p := range st.points {
-		if p.Index < 0 || p.Index >= len(out) {
-			return nil, fmt.Errorf("%w: %s records point index %d outside the %d-rate sweep",
-				ErrJournal, path, p.Index, len(out))
-		}
-		if p.Result != nil {
-			out[p.Index].State = "done"
-		} else {
-			out[p.Index].State = "failed"
-			out[p.Index].Err = p.Err
-		}
-	}
-	return out, nil
+	return queuePointStates(st), nil
 }
 
 // queuePointStates renders a replayed queue state for operators.
@@ -584,26 +609,4 @@ func queuePointStates(st *queue.State) []PointState {
 		out[i] = ps
 	}
 	return out
-}
-
-// journalImageVersion sniffs the format version from a journal image's
-// first intact line; 0 when there is none.
-func journalImageVersion(data []byte) int {
-	nl := -1
-	for i, b := range data {
-		if b == '\n' {
-			nl = i
-			break
-		}
-	}
-	if nl < 0 {
-		return 0
-	}
-	var h struct {
-		Version int `json:"version"`
-	}
-	if err := json.Unmarshal(data[:nl], &h); err != nil {
-		return 0
-	}
-	return h.Version
 }

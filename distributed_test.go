@@ -163,7 +163,7 @@ func TestSweepWorkerLeaseLost(t *testing.T) {
 // TestDistributedTypedErrors covers the rejection taxonomy end to end:
 // a worker joining a queue for a different configuration or rate list
 // (ErrStaleJournal, also ErrJournal), a malformed queue file
-// (ErrJournal), a stale v1-journal resume digest mismatch
+// (ErrJournal), a journaled-sweep resume digest mismatch
 // (ErrStaleJournal), and a direct lease-loss commit (ErrLeaseLost).
 func TestDistributedTypedErrors(t *testing.T) {
 	cfg := fastConfig(0)
@@ -205,13 +205,10 @@ func TestDistributedTypedErrors(t *testing.T) {
 		t.Fatalf("JournalStatus on malformed queue: got %v, want ErrJournal", err)
 	}
 
-	// The v1 journal's digest mismatch carries the same stale sentinel.
-	v1 := filepath.Join(dir, "v1.jsonl")
-	if _, err := SweepJournaled(cfg, rates, SweepJournalOptions{Path: v1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := SweepJournaled(other, rates, SweepJournalOptions{Path: v1, Resume: true}); !errors.Is(err, ErrStaleJournal) || !errors.Is(err, ErrJournal) {
-		t.Fatalf("v1 digest mismatch: got %v, want ErrStaleJournal wrapping ErrJournal", err)
+	// A journaled sweep's resume digest mismatch carries the same stale
+	// sentinel.
+	if _, err := SweepJournaledContext(context.Background(), other, rates, SweepJournalOptions{Path: path, Resume: true}); !errors.Is(err, ErrStaleJournal) || !errors.Is(err, ErrJournal) {
+		t.Fatalf("journaled digest mismatch: got %v, want ErrStaleJournal wrapping ErrJournal", err)
 	}
 
 	// Direct lease loss through the queue layer, with orion's sentinel.
@@ -236,46 +233,30 @@ func TestDistributedTypedErrors(t *testing.T) {
 	}
 }
 
-// TestSweepJournaledRejectsQueueFile: pointing the single-process resume
-// at a distributed queue journal must fail with a clear ErrJournal, not
-// misread claim records as results.
-func TestSweepJournaledRejectsQueueFile(t *testing.T) {
-	cfg := fastConfig(0)
-	rates := []float64{0.02}
-	path := filepath.Join(t.TempDir(), "sweep.wal")
-	if err := CreateSweepQueue(path, cfg, rates, false); err != nil {
-		t.Fatal(err)
-	}
-	_, err := SweepJournaled(cfg, rates, SweepJournalOptions{Path: path, Resume: true})
-	if !errors.Is(err, ErrJournal) || !strings.Contains(err.Error(), "-distributed") {
-		t.Fatalf("v1 resume on queue file: got %v, want ErrJournal naming -distributed", err)
-	}
-}
-
-// TestJournalStatus covers the operator-facing per-point report for both
-// journal formats.
+// TestJournalStatus covers the operator-facing per-point report.
 func TestJournalStatus(t *testing.T) {
 	cfg := fastConfig(0)
 	dir := t.TempDir()
 
-	// v1: one success, one deterministic failure, one never-run point.
+	// A journaled sweep: one success and one deterministic failure.
 	// MaxCycles tight enough that the 0.01 point cannot inject its
 	// samples (see TestSweepJournaledResumeKeepsDeterministicFailures).
 	satCfg := cfg
 	satCfg.Sim.MaxCycles = 700
-	v1 := filepath.Join(dir, "v1.jsonl")
-	if _, err := SweepJournaled(satCfg, []float64{0.2, 0.01}, SweepJournalOptions{Path: v1}); !errors.Is(err, ErrSaturated) {
+	sat := filepath.Join(dir, "sat.jsonl")
+	if _, err := SweepJournaledContext(context.Background(), satCfg, []float64{0.2, 0.01}, SweepJournalOptions{Path: sat}); !errors.Is(err, ErrSaturated) {
 		t.Fatalf("want saturation, got %v", err)
 	}
-	st, err := JournalStatus(v1)
+	st, err := JournalStatus(sat)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(st) != 2 || st[0].State != "done" || st[1].State != "failed" || st[1].Err == "" {
-		t.Fatalf("v1 status = %+v", st)
+		t.Fatalf("journaled sweep status = %+v", st)
 	}
 
-	// v2: one committed, one claimed with an expired lease, one pending.
+	// By hand: one committed, one claimed with an expired lease, one
+	// pending.
 	rates := []float64{0.02, 0.05, 0.08}
 	v2 := filepath.Join(dir, "v2.wal")
 	if err := CreateSweepQueue(v2, cfg, rates, false); err != nil {

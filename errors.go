@@ -86,9 +86,10 @@ var (
 	// non-determinism. errors.As recovers the *DivergenceError naming the
 	// first differing state section.
 	ErrDiverged = errors.New("orion: deterministic replay diverged")
-	// ErrJournal marks a sweep journal that was rejected: a corrupt line
-	// in its interior, or a header whose configuration digest does not
-	// match the resuming sweep.
+	// ErrJournal marks a sweep journal that was rejected: a corrupt
+	// record in its interior, a format version this build does not read,
+	// or a header whose configuration digest does not match the resuming
+	// sweep.
 	ErrJournal = errors.New("orion: journal rejected")
 )
 

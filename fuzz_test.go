@@ -2,8 +2,6 @@ package orion
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -97,39 +95,6 @@ func FuzzLoadSnapshot(f *testing.F) {
 		re := loaded.Encode()
 		if string(re) != string(data) {
 			t.Fatalf("accepted snapshot does not re-encode to its input (%d vs %d bytes)", len(re), len(data))
-		}
-	})
-}
-
-// FuzzJournalLine throws arbitrary file contents at the sweep-journal
-// reader. Reading must never panic: a journal is either parsed (possibly
-// dropping a torn trailing line) or rejected with the typed ErrJournal.
-func FuzzJournalLine(f *testing.F) {
-	f.Add([]byte(""))
-	f.Add([]byte(`{"version":1,"config_digest":"ab","rates":[0.1]}` + "\n"))
-	f.Add([]byte(`{"version":1,"config_digest":"ab","rates":[0.1]}` + "\n" +
-		`{"index":0,"rate":0.1,"err":"x","err_kind":"saturated"}` + "\n"))
-	f.Add([]byte(`{"version":1}` + "\n" + `{"index":0` /* torn tail */))
-	f.Add([]byte(`{"version":1}` + "\n" + `garbage` + "\n" + `{"index":1}` + "\n"))
-	f.Add([]byte(`not a header` + "\n"))
-	f.Add([]byte("\n\n\n"))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		path := filepath.Join(t.TempDir(), "fuzz.jsonl")
-		if err := os.WriteFile(path, data, 0o600); err != nil {
-			t.Skip()
-		}
-		pts, err := JournalStatus(path)
-		if err != nil {
-			if !errors.Is(err, ErrJournal) {
-				t.Fatalf("rejection lacks ErrJournal: %v", err)
-			}
-			return
-		}
-		for i, p := range pts {
-			if p.Index != i {
-				t.Fatalf("point %d reported at index %d", i, p.Index)
-			}
 		}
 	})
 }

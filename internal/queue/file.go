@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"time"
 )
@@ -14,12 +15,21 @@ import (
 // through a single O_APPEND file descriptor — one write() per record, so
 // records from concurrent workers interleave at line granularity, never
 // within a line — and every append is fsynced before the protocol step
-// it represents is considered taken. Reads always re-read the file from
-// scratch: the file is the only shared state.
+// it represents is considered taken. The file is the only shared state:
+// File keeps the state replayed so far and the byte offset it reaches,
+// and each Load replays only the complete lines appended since.
+//
+// Load, TryClaim and Commit advance that state, and the State they
+// return is it, updated in place by the next of them: they must not run
+// concurrently with one another. Append, Beat, Drop and Reset only write
+// and are safe from any goroutine.
 type File struct {
 	path string
 	f    *os.File
 	hdr  Header
+	// off is the byte offset up to which rp has consumed the journal.
+	off int64
+	rp  replayer
 }
 
 // Create initialises a queue journal at path. With fresh set, any
@@ -36,17 +46,19 @@ func Create(path string, hdr Header, fresh bool) (*File, error) {
 			return nil, fmt.Errorf("%w: stat %s: %v", ErrQueue, path, err)
 		}
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_TRUNC, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("%w: creating %s: %v", ErrQueue, path, err)
 	}
 	qf := &File{path: path, f: f, hdr: hdr}
 	line, err := json.Marshal(hdr)
 	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("%w: encoding header: %v", ErrQueue, err)
+		err = fmt.Errorf("%w: encoding header: %v", ErrQueue, err)
+	} else if err = qf.append(line); err == nil {
+		// Seed the state through the same replay every Load runs.
+		_, err = qf.Load()
 	}
-	if err := qf.append(line); err != nil {
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -57,26 +69,26 @@ func Create(path string, hdr Header, fresh bool) (*File, error) {
 // the same sweep as want: a version or structural problem fails with
 // ErrQueue, a config-digest or rate-list mismatch with ErrStale.
 func Open(path string, want Header) (*File, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("%w: reading %s: %v", ErrQueue, path, err)
+		return nil, fmt.Errorf("%w: opening %s: %v", ErrQueue, path, err)
 	}
-	st, err := DecodeState(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if want.ConfigDigest != "" && st.Header.ConfigDigest != want.ConfigDigest {
-		return nil, fmt.Errorf("%w: %s was written for a different configuration (digest %s, want %s)",
+	qf := &File{path: path, f: f}
+	st, err := qf.Load()
+	switch {
+	case err != nil:
+	case want.ConfigDigest != "" && st.Header.ConfigDigest != want.ConfigDigest:
+		err = fmt.Errorf("%w: %s was written for a different configuration (digest %s, want %s)",
 			ErrStale, path, st.Header.ConfigDigest, want.ConfigDigest)
+	case want.Rates != nil && !EqualRates(st.Header.Rates, want.Rates):
+		err = fmt.Errorf("%w: %s was written for a different rate list", ErrStale, path)
 	}
-	if want.Rates != nil && !EqualRates(st.Header.Rates, want.Rates) {
-		return nil, fmt.Errorf("%w: %s was written for a different rate list", ErrStale, path)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("%w: opening %s for append: %v", ErrQueue, path, err)
+		f.Close()
+		return nil, err
 	}
-	return &File{path: path, f: f, hdr: st.Header}, nil
+	qf.hdr = st.Header
+	return qf, nil
 }
 
 // Close releases the append descriptor. The journal itself persists.
@@ -113,19 +125,30 @@ func (q *File) Append(rec Record) error {
 	return q.append(line)
 }
 
-// Load re-reads the whole journal and replays it. Safe to call while
-// other workers append: a torn tail (some other worker mid-append) is
-// simply not visible yet.
+// Load replays the lines appended since the last Load and returns the
+// state. Safe while other workers append: a torn tail (some other worker
+// mid-append) is simply not visible yet.
 func (q *File) Load() (*State, error) {
-	data, err := os.ReadFile(q.path)
+	fi, err := q.f.Stat()
 	if err != nil {
 		return nil, fmt.Errorf("%w: reading %s: %v", ErrQueue, q.path, err)
 	}
-	st, err := DecodeState(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", q.path, err)
+	if fi.Size() > q.off {
+		buf := make([]byte, fi.Size()-q.off)
+		n, err := q.f.ReadAt(buf, q.off)
+		if err != nil && !errors.Is(err, io.EOF) {
+			return nil, fmt.Errorf("%w: reading %s: %v", ErrQueue, q.path, err)
+		}
+		used, err := q.rp.feed(buf[:n])
+		q.off += int64(used)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", q.path, err)
+		}
 	}
-	return st, nil
+	if q.rp.st == nil {
+		return nil, fmt.Errorf("%s: %w", q.path, errNoHeader)
+	}
+	return q.rp.st, nil
 }
 
 // nowMs is the protocol clock, swappable by tests to compress leases.

@@ -1,8 +1,8 @@
-// Package queue turns the sweep journal's append-only JSONL format into
-// a shared work-queue protocol: any number of worker processes on a
-// shared filesystem claim sweep points with leased, heartbeat-renewed
-// claim records, steal claims whose leases have expired, and commit
-// results, all over a single append-only file.
+// Package queue is the sweep journal: an append-only JSONL work-queue
+// protocol over which any number of workers — goroutines of one process
+// or processes on a shared filesystem — claim sweep points with leased,
+// heartbeat-renewed claim records, steal claims whose leases have
+// expired, and commit results, all over a single append-only file.
 //
 // The protocol is designed so that the authoritative state is a pure
 // function of the file's bytes. Every record carries the wall-clock
@@ -19,8 +19,7 @@
 // file, and replays it. If the replay names the worker as the point's
 // holder, it won; otherwise another worker's record landed first and the
 // claim is a dead line in the log. No byte of the file is ever
-// overwritten, so the format inherits (and extends) the journal's
-// torn-tail tolerance: a crash mid-append leaves dead bytes that every
+// overwritten, so the format tolerates torn tails: a crash mid-append leaves dead bytes that every
 // reader deterministically skips, and a live writer whose append was
 // concatenated onto a torn line observes — via the same re-read — that
 // its record never took effect, and retries on a fresh line.
@@ -43,15 +42,15 @@
 package queue
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 )
 
-// Version is the work-queue journal format version. It deliberately
-// differs from the single-process sweep journal's version 1, so each
-// reader rejects the other's files with a clear error instead of
-// misinterpreting records.
+// Version is the work-queue journal format version. Version 1 was a
+// retired single-process sweep journal with the same header line; its
+// files are rejected with ErrVersion instead of being misread.
 const Version = 2
 
 // Typed sentinels. ErrQueue marks a file that is not a queue journal
@@ -60,17 +59,17 @@ const Version = 2
 // belongs to a different sweep (config digest or rate-list mismatch).
 // ErrLeaseLost marks a commit attempt by a worker whose claim was stolen
 // while it ran — the result must be discarded; the thief re-runs the
-// point.
+// point. ErrVersion, raised alongside ErrQueue, marks a header whose
+// format version this build does not read.
 var (
 	ErrQueue     = errors.New("queue: journal rejected")
 	ErrStale     = errors.New("queue: journal belongs to a different sweep")
 	ErrLeaseLost = errors.New("queue: lease lost, result discarded")
+	ErrVersion   = errors.New("format version")
 )
 
 // Header is the queue journal's first line: the format version, the
-// sweep's config digest and its rate list. The single-process sweep
-// journal (version 1) writes the same header, so the two formats are
-// distinguished by the version number alone.
+// sweep's config digest and its rate list.
 type Header struct {
 	Version      int       `json:"version"`
 	ConfigDigest string    `json:"config_digest"`
@@ -213,7 +212,7 @@ func (s *State) Counts() (pending, claimed, done int) {
 	return pending, claimed, done
 }
 
-// Holder returns the index's current holder, or "" when unheld.
+// HolderOf returns the index's current holder, or "" when unheld.
 func (s *State) HolderOf(idx int) string {
 	if idx < 0 || idx >= len(s.Points) {
 		return ""
@@ -225,63 +224,60 @@ func (s *State) HolderOf(idx int) string {
 	return p.Holder
 }
 
-// Replay folds the records into per-point state under the rules in the
-// package comment. Records were validated at parse time, so indices are
-// in range.
-func Replay(hdr Header, recs []Record) *State {
-	st := &State{Header: hdr, Points: make([]Point, len(hdr.Rates))}
-	for _, r := range recs {
-		p := &st.Points[r.Index]
-		switch r.Kind {
-		case KindClaim:
-			// A claim takes a pending point unconditionally, and a
-			// claimed point only if the lease had already expired when
-			// the claim was appended (a steal). Done points are settled
-			// for good — claims on them are dead lines.
-			if p.Status == Pending || (p.Status == Claimed && r.At > p.Deadline) {
-				p.Status = Claimed
-				p.Holder = r.Worker
-				p.Deadline = r.At + r.LeaseMs
-			}
-		case KindBeat:
-			// Only the holder renews. A beat landing after expiry but
-			// before any steal still renews: expiry authorises steals,
-			// it does not evict.
-			if p.Status == Claimed && p.Holder == r.Worker {
-				p.Deadline = r.At + r.LeaseMs
-			}
-		case KindDone:
-			// Only the holder commits; a stale commit from a superseded
-			// worker is discarded, so exactly one result per point ever
-			// takes effect.
-			if p.Status == Claimed && p.Holder == r.Worker {
-				p.Status = Done
-				p.Deadline = 0
-				p.Payload = r.Payload
-				p.Final = r.Final
-			}
-		case KindDrop:
-			if p.Status == Claimed && p.Holder == r.Worker {
-				*p = Point{Status: Pending}
-			}
-		case KindReset:
-			// Re-open a transient (non-final) failure for a resume.
-			if p.Status == Done && !p.Final {
-				*p = Point{Status: Pending}
-			}
+// apply folds one record into the state under the rules in the package
+// comment. The record was validated at parse time, so its index is in
+// range.
+func (s *State) apply(r Record) {
+	p := &s.Points[r.Index]
+	switch r.Kind {
+	case KindClaim:
+		// A claim takes a pending point unconditionally, and a claimed
+		// point only if the lease had already expired when the claim was
+		// appended (a steal). Done points are settled for good — claims
+		// on them are dead lines.
+		if p.Status == Pending || (p.Status == Claimed && r.At > p.Deadline) {
+			p.Status = Claimed
+			p.Holder = r.Worker
+			p.Deadline = r.At + r.LeaseMs
+		}
+	case KindBeat:
+		// Only the holder renews. A beat landing after expiry but before
+		// any steal still renews: expiry authorises steals, it does not
+		// evict.
+		if p.Status == Claimed && p.Holder == r.Worker {
+			p.Deadline = r.At + r.LeaseMs
+		}
+	case KindDone:
+		// Only the holder commits; a stale commit from a superseded
+		// worker is discarded, so exactly one result per point ever
+		// takes effect.
+		if p.Status == Claimed && p.Holder == r.Worker {
+			p.Status = Done
+			p.Deadline = 0
+			p.Payload = r.Payload
+			p.Final = r.Final
+		}
+	case KindDrop:
+		if p.Status == Claimed && p.Holder == r.Worker {
+			*p = Point{Status: Pending}
+		}
+	case KindReset:
+		// Re-open a transient (non-final) failure for a resume.
+		if p.Status == Done && !p.Final {
+			*p = Point{Status: Pending}
 		}
 	}
-	return st
 }
 
 // DecodeState parses a whole queue-journal image and replays it — the
-// read half of the protocol, shared by Load and the fuzz target.
+// read half of the protocol in one call. It is the same fold File.Load
+// runs incrementally, fed the whole image at once.
 //
-// Unlike the single-writer sweep journal, unparsable lines are tolerated
-// anywhere, not just at the tail: in a multi-writer append-only log, a
-// crash can leave a torn line that the next live writer's append is
-// concatenated onto, so dead bytes can end up in the interior. Every
-// reader deterministically skips the same dead bytes, and the
+// Unlike a single-writer log, unparsable lines are tolerated anywhere,
+// not just at the tail: in a multi-writer append-only log, a crash can
+// leave a torn line that the next live writer's append is concatenated
+// onto, so dead bytes can end up in the interior. Every reader
+// deterministically skips the same dead bytes, and the
 // append-then-reread arbitration means a writer whose record was
 // swallowed simply observes it never took effect and retries — no state
 // is ever derived from a line that does not parse. What does fail, with
@@ -290,71 +286,90 @@ func Replay(hdr Header, recs []Record) *State {
 // schema (an index outside the sweep, an unknown kind) — the signature
 // of a foreign or buggy writer, not of a crash.
 func DecodeState(data []byte) (*State, error) {
-	hdr, recs, err := parseLines(data)
-	if err != nil {
+	var rp replayer
+	if _, err := rp.feed(data); err != nil {
 		return nil, err
 	}
-	if hdr == nil {
-		return nil, fmt.Errorf("%w: empty journal (no header)", ErrQueue)
+	if rp.st == nil {
+		return nil, errNoHeader
 	}
-	return Replay(*hdr, recs), nil
+	return rp.st, nil
 }
 
-// parseLines splits the image into the header and its records under
-// DecodeState's rules. hdr is nil when the image is empty or holds only
-// a torn first line.
-func parseLines(data []byte) (hdr *Header, recs []Record, err error) {
-	for len(data) > 0 {
-		nl := -1
-		for i, b := range data {
-			if b == '\n' {
-				nl = i
-				break
-			}
-		}
+var errNoHeader = fmt.Errorf("%w: empty journal (no header)", ErrQueue)
+
+// replayer folds journal lines into a State incrementally, under
+// DecodeState's rules. It consumes a line only once a full re-read would
+// treat that line the same way at any later time: a valid record or an
+// unparsable dead line. An unterminated tail, a torn first line and a
+// schema-invalid final line are left for the next feed, because what
+// they mean depends on whether more lines follow them.
+type replayer struct {
+	// st is the replayed state; nil until the header line is read.
+	st *State
+	// lines counts the lines decoded, re-decoded tails included.
+	lines int
+}
+
+// feed replays data — the journal bytes past everything consumed so far
+// — and returns how many of its bytes it consumed.
+func (rp *replayer) feed(data []byte) (int, error) {
+	n := 0
+	for {
+		nl := bytes.IndexByte(data[n:], '\n')
 		if nl < 0 {
-			// Unterminated tail: a crash mid-append. Drop it.
-			return hdr, recs, nil
+			// Unterminated tail: a crash mid-append, or an append not
+			// yet fully visible. Re-read once it is terminated.
+			return n, nil
 		}
-		line := data[:nl]
-		data = data[nl+1:]
-		last := len(data) == 0
-		if hdr == nil {
-			if len(line) == 0 {
-				continue
-			}
-			var h Header
-			if uerr := json.Unmarshal(line, &h); uerr != nil || h.Version == 0 {
-				if last {
-					// Torn first line — nothing usable yet.
-					return nil, nil, nil
-				}
-				return nil, nil, fmt.Errorf("%w: file does not start with a queue header", ErrQueue)
-			}
-			if h.Version != Version {
-				return nil, nil, fmt.Errorf("%w: format version %d, this build speaks %d", ErrQueue, h.Version, Version)
-			}
-			hdr = &h
-			continue
+		done, err := rp.line(data[n:n+nl], n+nl+1 == len(data))
+		if err != nil || !done {
+			return n, err
 		}
-		var r Record
-		if uerr := json.Unmarshal(line, &r); uerr != nil {
-			// Dead bytes: a torn line, possibly with a live writer's
-			// record concatenated onto it. Deterministically skipped by
-			// every reader; the swallowed writer retries.
-			continue
-		}
-		if verr := r.validate(len(hdr.Rates)); verr != nil {
-			if last {
-				// A torn record can truncate into valid JSON with missing
-				// fields; at the tail that is the crash signature.
-				return hdr, recs, nil
-			}
-			return nil, nil, verr
-		}
-		recs = append(recs, r)
+		n += nl + 1
 	}
-	return hdr, recs, nil
+}
+
+// line decodes one newline-terminated line. It reports false, with no
+// error, for a final line whose meaning waits on whether more follow.
+func (rp *replayer) line(line []byte, last bool) (bool, error) {
+	if rp.st == nil {
+		if len(line) == 0 {
+			return true, nil
+		}
+		rp.lines++
+		var h Header
+		if err := json.Unmarshal(line, &h); err != nil || h.Version == 0 {
+			if last {
+				// Torn first line — nothing usable yet.
+				return false, nil
+			}
+			return false, fmt.Errorf("%w: file does not start with a queue header", ErrQueue)
+		}
+		if h.Version != Version {
+			return false, fmt.Errorf("%w: %w %d, this build speaks %d", ErrQueue, ErrVersion, h.Version, Version)
+		}
+		rp.st = &State{Header: h, Points: make([]Point, len(h.Rates))}
+		return true, nil
+	}
+	rp.lines++
+	var r Record
+	if err := json.Unmarshal(line, &r); err != nil {
+		// Dead bytes: a torn line, possibly with a live writer's record
+		// concatenated onto it. Deterministically skipped by every
+		// reader; the swallowed writer retries.
+		return true, nil
+	}
+	if err := r.validate(len(rp.st.Header.Rates)); err != nil {
+		if last {
+			// A torn record can truncate into valid JSON with missing
+			// fields; at the tail that is the crash signature.
+			return false, nil
+		}
+		return false, err
+	}
+	rp.st.apply(r)
+	return true, nil
 }
 
 // EqualRates compares rate lists exactly; JSON round-trips float64

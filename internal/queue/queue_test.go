@@ -65,6 +65,61 @@ func TestClaimCommitLifecycle(t *testing.T) {
 	}
 }
 
+// TestLoadParsesOnlyNewRecords pins incremental replay: however long
+// the journal already is, a Load after k appends decodes exactly k
+// lines, and leaves a torn tail to be decoded once it is terminated.
+func TestLoadParsesOnlyNewRecords(t *testing.T) {
+	fakeClock(t, 1000)
+	dir := t.TempDir()
+	qf := mustCreate(t, dir)
+	for round := 0; round < 3; round++ {
+		st, err := qf.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := qf.rp.lines
+		const k = 40
+		for i := 0; i < k; i++ {
+			if err := qf.Beat(i%3, "w1", time.Second); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := qf.Load(); err != nil {
+			t.Fatal(err)
+		}
+		if got := qf.rp.lines - before; got != k {
+			t.Fatalf("round %d: Load after %d appends decoded %d lines", round, k, got)
+		}
+		if st2, _ := qf.Load(); st2 != st || qf.rp.lines-before != k {
+			t.Fatalf("round %d: a Load with nothing appended decoded %d lines", round, qf.rp.lines-before-k)
+		}
+	}
+
+	path := filepath.Join(dir, "queue.wal")
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	claim := `{"t":"claim","index":1,"w":"w2","at_ms":1000,"lease_ms":100}` + "\n"
+	if _, err := f.WriteString(claim[:20]); err != nil {
+		t.Fatal(err)
+	}
+	before := qf.rp.lines
+	if st, err := qf.Load(); err != nil || st.HolderOf(1) != "" || qf.rp.lines != before {
+		t.Fatalf("torn tail: holder %q, %d lines decoded, err %v", st.HolderOf(1), qf.rp.lines-before, err)
+	}
+	if _, err := f.WriteString(claim[20:]); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := qf.Load(); err != nil || st.HolderOf(1) != "w2" || qf.rp.lines != before+1 {
+		t.Fatalf("completed tail: holder %q, %d lines decoded, err %v", st.HolderOf(1), qf.rp.lines-before, err)
+	}
+	if info, err := os.Stat(path); err != nil || qf.off != info.Size() {
+		t.Fatalf("offset %d after a full replay of a %d-byte journal (%v)", qf.off, info.Size(), err)
+	}
+}
+
 // TestSameTickDoubleClaim appends two claims for the same point carrying
 // the same timestamp — two workers claiming in the same tick. File order
 // must arbitrate: the first appended claim wins, the second is a dead
@@ -372,8 +427,8 @@ func TestOpenRejections(t *testing.T) {
 	if err := os.WriteFile(v1, []byte(`{"version":1,"config_digest":"abcd","rates":[0.1]}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(v1, testHeader()); !errors.Is(err, ErrQueue) {
-		t.Fatalf("v1 journal: got %v, want ErrQueue", err)
+	if _, err := Open(v1, testHeader()); !errors.Is(err, ErrQueue) || !errors.Is(err, ErrVersion) {
+		t.Fatalf("v1 journal: got %v, want ErrVersion wrapping ErrQueue", err)
 	}
 }
 

@@ -1,11 +1,14 @@
 package orion
 
 import (
+	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // journalLines splits a journal file into its intact lines.
@@ -19,6 +22,32 @@ func journalLines(t *testing.T, path string) []string {
 	return lines
 }
 
+// isDone reports whether a journal line is a done record.
+func isDone(line string) bool {
+	var r struct {
+		Kind string `json:"t"`
+	}
+	return json.Unmarshal([]byte(line), &r) == nil && r.Kind == "done"
+}
+
+// doneRecords counts the done records in a journal file: one per point
+// run to completion, whoever ran it.
+func doneRecords(t *testing.T, path string) int {
+	t.Helper()
+	n := 0
+	for _, line := range journalLines(t, path) {
+		if isDone(line) {
+			n++
+		}
+	}
+	return n
+}
+
+// sweepJournaled runs a journaled sweep with no cancellation.
+func sweepJournaled(cfg Config, rates []float64, opts SweepJournalOptions) ([]*Result, error) {
+	return SweepJournaledContext(context.Background(), cfg, rates, opts)
+}
+
 // TestSweepJournaledMatchesSweep requires the journaled sweep to produce
 // the same results as the plain one, and the journal to record every
 // point.
@@ -30,7 +59,7 @@ func TestSweepJournaledMatchesSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "sweep.jsonl")
-	journaled, err := SweepJournaled(cfg, rates, SweepJournalOptions{Path: path})
+	journaled, err := sweepJournaled(cfg, rates, SweepJournalOptions{Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,8 +68,8 @@ func TestSweepJournaledMatchesSweep(t *testing.T) {
 			t.Errorf("rate %g: journaled result differs from plain sweep", rates[i])
 		}
 	}
-	if lines := journalLines(t, path); len(lines) != 1+len(rates) {
-		t.Fatalf("journal has %d lines, want header + %d points", len(lines), len(rates))
+	if n := doneRecords(t, path); n != len(rates) {
+		t.Fatalf("journal has %d done records, want %d", n, len(rates))
 	}
 	if n, err := settledPoints(path); err != nil || n != len(rates) {
 		t.Fatalf("settled points = %d, %v; want %d, nil", n, err, len(rates))
@@ -72,22 +101,31 @@ func TestSweepJournaledResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// One point in flight, so the journal runs claim, done, claim, done…
+	// and a crash after the second done leaves no claim held.
 	dir := t.TempDir()
 	full := filepath.Join(dir, "full.jsonl")
-	if _, err := SweepJournaled(cfg, rates, SweepJournalOptions{Path: full}); err != nil {
+	if _, err := SweepDistributed(context.Background(), cfg, rates, DistributedSweepOptions{Path: full, Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	lines := journalLines(t, full)
 
 	// Crash reconstruction: header + 2 completed points + a line cut off
 	// mid-write.
+	cut, done := 0, 0
+	for done < 2 {
+		if isDone(lines[cut]) {
+			done++
+		}
+		cut++
+	}
 	crashed := filepath.Join(dir, "crashed.jsonl")
-	partial := strings.Join(lines[:3], "\n") + "\n" + lines[3][:len(lines[3])/2]
+	partial := strings.Join(lines[:cut], "\n") + "\n" + lines[cut][:len(lines[cut])/2]
 	if err := os.WriteFile(crashed, []byte(partial), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	resumed, err := SweepJournaled(cfg, rates, SweepJournalOptions{Path: crashed, Resume: true})
+	resumed, err := sweepJournaled(cfg, rates, SweepJournalOptions{Path: crashed, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,10 +137,10 @@ func TestSweepJournaledResume(t *testing.T) {
 			t.Errorf("rate %g: resumed result differs from clean sweep", rates[i])
 		}
 	}
-	// The journal must have been repaired: old points intact, the torn
-	// tail replaced by the re-run points.
-	if lines := journalLines(t, crashed); len(lines) != 1+len(rates) {
-		t.Fatalf("resumed journal has %d lines, want header + %d points", len(lines), len(rates))
+	// The journaled points were not re-run: the 2 old done records and
+	// the 2 new ones, one per point.
+	if n := doneRecords(t, crashed); n != len(rates) {
+		t.Fatalf("resumed journal has %d done records, want %d", n, len(rates))
 	}
 }
 
@@ -118,13 +156,13 @@ func TestSweepJournaledResumeKeepsDeterministicFailures(t *testing.T) {
 	cfg.Sim.MaxCycles = 700
 	rates := []float64{0.2, 0.01}
 	path := filepath.Join(t.TempDir(), "sat.jsonl")
-	_, err := SweepJournaled(cfg, rates, SweepJournalOptions{Path: path})
+	_, err := sweepJournaled(cfg, rates, SweepJournalOptions{Path: path})
 	if !errors.Is(err, ErrSaturated) {
 		t.Fatalf("saturating sweep: got %v, want ErrSaturated", err)
 	}
 	before := journalLines(t, path)
 
-	results, err := SweepJournaled(cfg, rates, SweepJournalOptions{Path: path, Resume: true})
+	results, err := sweepJournaled(cfg, rates, SweepJournalOptions{Path: path, Resume: true})
 	if !errors.Is(err, ErrSaturated) {
 		t.Fatalf("resume lost the journaled saturation: %v", err)
 	}
@@ -143,32 +181,33 @@ func TestSweepJournaledResumeKeepsDeterministicFailures(t *testing.T) {
 
 // TestSweepJournaledRejectsMismatch covers the typed resume rejections:
 // a different configuration, a different rate list, and a corrupt
-// interior line.
+// interior line (a record that parses but violates the schema; an
+// unparsable line is a torn append the journal skips).
 func TestSweepJournaledRejectsMismatch(t *testing.T) {
 	cfg := fastConfig(0)
 	rates := []float64{0.02, 0.06}
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sweep.jsonl")
-	if _, err := SweepJournaled(cfg, rates, SweepJournalOptions{Path: path}); err != nil {
+	if _, err := sweepJournaled(cfg, rates, SweepJournalOptions{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 
 	other := cfg
 	other.Traffic.Seed++
-	if _, err := SweepJournaled(other, rates, SweepJournalOptions{Path: path, Resume: true}); !errors.Is(err, ErrJournal) {
-		t.Fatalf("config mismatch: got %v, want ErrJournal", err)
+	if _, err := sweepJournaled(other, rates, SweepJournalOptions{Path: path, Resume: true}); !errors.Is(err, ErrJournal) || !errors.Is(err, ErrStaleJournal) {
+		t.Fatalf("config mismatch: got %v, want ErrStaleJournal wrapping ErrJournal", err)
 	}
-	if _, err := SweepJournaled(cfg, []float64{0.02, 0.07}, SweepJournalOptions{Path: path, Resume: true}); !errors.Is(err, ErrJournal) {
-		t.Fatalf("rate-list mismatch: got %v, want ErrJournal", err)
+	if _, err := sweepJournaled(cfg, []float64{0.02, 0.07}, SweepJournalOptions{Path: path, Resume: true}); !errors.Is(err, ErrJournal) || !errors.Is(err, ErrStaleJournal) {
+		t.Fatalf("rate-list mismatch: got %v, want ErrStaleJournal wrapping ErrJournal", err)
 	}
 
 	lines := journalLines(t, path)
 	corrupt := filepath.Join(dir, "corrupt.jsonl")
-	body := lines[0] + "\n" + "{not json}\n" + lines[2] + "\n"
+	body := lines[0] + "\n" + `{"t":"claim","index":7,"w":"x","at_ms":1,"lease_ms":1}` + "\n" + lines[2] + "\n"
 	if err := os.WriteFile(corrupt, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SweepJournaled(cfg, rates, SweepJournalOptions{Path: corrupt, Resume: true}); !errors.Is(err, ErrJournal) {
+	if _, err := sweepJournaled(cfg, rates, SweepJournalOptions{Path: corrupt, Resume: true}); !errors.Is(err, ErrJournal) {
 		t.Fatalf("corrupt interior line: got %v, want ErrJournal", err)
 	}
 	if _, err := JournalStatus(corrupt); !errors.Is(err, ErrJournal) {
@@ -182,14 +221,79 @@ func TestSweepJournaledRejectsMismatch(t *testing.T) {
 func TestSweepJournaledFreshStartIgnoresMissingFile(t *testing.T) {
 	cfg := fastConfig(0)
 	path := filepath.Join(t.TempDir(), "fresh.jsonl")
-	results, err := SweepJournaled(cfg, []float64{0.04}, SweepJournalOptions{Path: path, Resume: true})
+	results, err := sweepJournaled(cfg, []float64{0.04}, SweepJournalOptions{Path: path, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if results[0] == nil {
 		t.Fatal("fresh resumed sweep returned no result")
 	}
-	if lines := journalLines(t, path); len(lines) != 2 {
-		t.Fatalf("fresh journal has %d lines, want header + 1 point", len(lines))
+	if n := doneRecords(t, path); n != 1 {
+		t.Fatalf("fresh journal has %d done records, want 1", n)
+	}
+}
+
+// TestSweepJournaledRejectsV1File: a journal in the retired version-1
+// single-process format is no longer read. Resuming it and reporting
+// its status (orion-sweep -status) both fail with ErrJournal and say how
+// to go on, and the file is left as it was.
+func TestSweepJournaledRejectsV1File(t *testing.T) {
+	cfg := fastConfig(0)
+	rates := []float64{0.02, 0.06}
+	digest, err := SweepConfigDigest(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "v1.jsonl")
+	v1 := `{"version":1,"config_digest":"` + digest + `","rates":[0.02,0.06]}` + "\n" +
+		`{"index":0,"rate":0.02,"err":"x","err_kind":"saturated"}` + "\n"
+	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	hint := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrJournal) || !strings.Contains(err.Error(), "no longer read") || !strings.Contains(err.Error(), "without -resume") {
+			t.Fatalf("%s on a v1 journal: got %v, want ErrJournal with the re-run hint", what, err)
+		}
+	}
+	_, err = sweepJournaled(cfg, rates, SweepJournalOptions{Path: path, Resume: true})
+	hint("resume", err)
+	_, err = JournalStatus(path)
+	hint("status", err)
+	if data, err := os.ReadFile(path); err != nil || string(data) != v1 {
+		t.Fatalf("rejected v1 journal was modified (%v)", err)
+	}
+	// Without resume the sweep starts over on the same path.
+	if _, err := sweepJournaled(cfg, rates, SweepJournalOptions{Path: path}); err != nil {
+		t.Fatal(err)
+	}
+	if n := doneRecords(t, path); n != len(rates) {
+		t.Fatalf("fresh sweep over a v1 file has %d done records, want %d", n, len(rates))
+	}
+}
+
+// TestSweepJournaledReleasesClaimsOnCancel: cancelling a journaled
+// sweep drops the claims of the points it cut short, so the journal
+// shows them pending (not held by a dead worker) and a resume re-runs
+// them at once.
+func TestSweepJournaledReleasesClaimsOnCancel(t *testing.T) {
+	cfg := fastConfig(0)
+	cfg.Sim.SamplePackets = 200000
+	rates := []float64{0.02, 0.05}
+	path := filepath.Join(t.TempDir(), "cancel.jsonl")
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(50*time.Millisecond, cancel)
+	results, err := SweepJournaledContext(ctx, cfg, rates, SweepJournalOptions{Path: path})
+	if !errors.Is(err, context.Canceled) || len(results) != len(rates) {
+		t.Fatalf("cancelled sweep: %d results, err %v; want a partial merge and context.Canceled", len(results), err)
+	}
+	st, err := JournalStatus(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range st {
+		if p.State != "pending" {
+			t.Fatalf("point %d after cancel = %+v, want pending (claim dropped)", p.Index, p)
+		}
 	}
 }

@@ -539,9 +539,9 @@ func SweepWithRunner(ctx context.Context, cfg Config, rates []float64, run Point
 }
 
 // runPool calls fn(i) for every i in [0, n) on at most workers
-// goroutines and returns once every call has. It is the one bounded pool
-// behind the plain, journaled and distributed sweep paths, so a
-// thousand-point sweep spawns a dozen goroutines, not a thousand.
+// goroutines and returns once every call has, so a thousand-point sweep
+// spawns a dozen goroutines, not a thousand. (Journaled and distributed
+// sweeps bound their points in flight in the queue's claim loop.)
 func runPool(n, workers int, fn func(i int)) {
 	idx := make(chan int)
 	var wg sync.WaitGroup
