@@ -2,10 +2,15 @@
 
 GO ?= go
 
-.PHONY: build vet test bench-test race race-workers fuzz-smoke bench-smoke bench bench-compare distributed-sweep remote-sweep serve-smoke ci
+.PHONY: build fmt-check vet test bench-test race race-workers fuzz-smoke bench-smoke bench bench-compare distributed-sweep remote-sweep serve-smoke ci
 
 build:
 	$(GO) build ./...
+
+# Fails, listing the files, when any Go file (bench/ included) is not
+# gofmt-clean.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -72,4 +77,4 @@ bench:
 bench-compare:
 	scripts/bench_compare.sh
 
-ci: build vet race race-workers bench-test bench-smoke fuzz-smoke
+ci: build fmt-check vet race race-workers bench-test bench-smoke fuzz-smoke

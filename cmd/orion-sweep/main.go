@@ -59,6 +59,7 @@ import (
 
 	"orion"
 	"orion/internal/cliconfig"
+	"orion/internal/outcome"
 	"orion/internal/prof"
 	"orion/internal/remote"
 )
@@ -281,16 +282,11 @@ func run() (status int) {
 	if results == nil && sweepErr != nil {
 		fail("%v", sweepErr)
 	}
-	pointErrs := make(map[int]error)
+	pointErrs := make([]error, len(rates))
 	var serr *orion.SweepError
 	if errors.As(sweepErr, &serr) {
-		for j, r := range serr.Rates {
-			for i, rate := range rates {
-				if rate == r && results[i] == nil && pointErrs[i] == nil {
-					pointErrs[i] = serr.Errs[j]
-					break
-				}
-			}
+		for j, i := range serr.Index {
+			pointErrs[i] = serr.Errs[j]
 		}
 	}
 	fmt.Printf("%8s %12s %14s %12s\n", "rate", "latency", "throughput", "power(W)")
@@ -574,30 +570,30 @@ func printStatus(path string) int {
 	return 0
 }
 
-// classify renders a failed point's error as a short cause tag using the
-// package's typed sentinels.
+// causes are the table's short cause tags for failed points, by
+// failure code.
+var causes = map[string]string{
+	outcome.Invariant:   "invariant violated",
+	outcome.Saturated:   "over-saturated",
+	outcome.Deadlock:    "no progress",
+	outcome.Overloaded:  "overloaded",
+	outcome.BackendDown: "backends down",
+	outcome.Timeout:     "point timeout",
+	outcome.Cancelled:   "cancelled",
+	outcome.Internal:    "failed",
+}
+
+// classify renders a failed point's error as a short cause tag; a point
+// with no error never settled.
 func classify(err error) string {
-	var cause string
-	switch {
-	case err == nil:
+	if err == nil {
 		return "run aborted"
-	case errors.Is(err, orion.ErrSaturated):
-		cause = "over-saturated"
-	case errors.Is(err, orion.ErrDeadlock):
-		cause = "no progress"
-	case errors.Is(err, orion.ErrInvariant):
-		cause = "invariant violated"
-	case errors.Is(err, context.DeadlineExceeded):
-		cause = "point timeout"
-	case errors.Is(err, context.Canceled):
-		cause = "cancelled"
-	default:
-		cause = "failed"
 	}
-	if errors.Is(err, orion.ErrFaulted) {
-		cause += ", fault-induced"
+	code, faulted := outcome.Code(err)
+	if faulted {
+		return causes[code] + ", fault-induced"
 	}
-	return cause
+	return causes[code]
 }
 
 // writeCSV emits one row per rate point with the quantities of the paper's

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"orion/internal/backoff"
+	"orion/internal/outcome"
 	"orion/internal/queue"
 )
 
@@ -217,13 +218,14 @@ func runClaimed(ctx context.Context, run PointRunner, cfg Config, rates []float6
 	res, err := run(ctx, cfg, rates[idx])
 	p := journalPoint{Index: idx, Rate: rates[idx], Result: res}
 	if err != nil {
-		p.Result, p.Err, p.ErrKind, p.Faulted = nil, err.Error(), errKindOf(err), errors.Is(err, ErrFaulted)
+		p.Result, p.Err = nil, err.Error()
+		p.ErrKind, p.Faulted = outcome.Code(err)
 	}
 	payload, merr := json.Marshal(p)
 	if merr != nil {
 		err = fmt.Errorf("orion: encoding queue result: %w", merr)
 	}
-	return finishedPoint{idx: idx, err: err, payload: payload, final: err == nil || deterministicKind(p.ErrKind)}
+	return finishedPoint{idx: idx, err: err, payload: payload, final: err == nil || outcome.Final(p.ErrKind)}
 }
 
 // claimLoop is one worker on an open queue journal: a single loop that
@@ -412,8 +414,8 @@ func workerHash(id string) uint64 {
 // mergeQueueState decodes the committed payloads into results in index
 // order — the deterministic merge that makes a distributed sweep's
 // output byte-identical to a sequential Sweep's. Unsettled points stay
-// nil; settled failures are reconstructed as typed errors (journaledErr)
-// and aggregated into a *SweepError exactly like Sweep does.
+// nil; settled failures are rebuilt as typed errors from their outcome
+// codes and aggregated into a *SweepError exactly like Sweep does.
 func mergeQueueState(st *queue.State, rates []float64) ([]*Result, error) {
 	results := make([]*Result, len(rates))
 	errs := make([]error, len(rates))
@@ -432,7 +434,8 @@ func mergeQueueState(st *queue.State, rates []float64) ([]*Result, error) {
 		if jp.Result != nil {
 			results[i] = jp.Result
 		} else {
-			errs[i] = journaledErr(jp)
+			errs[i] = fmt.Errorf("orion: journaled failure at rate %g: %w", jp.Rate,
+				outcome.Err(jp.ErrKind, jp.Faulted, jp.Err))
 		}
 	}
 	if serr := collectSweepError(rates, errs); serr != nil {

@@ -6,6 +6,7 @@ import (
 
 	"orion/internal/core"
 	"orion/internal/fault"
+	"orion/internal/outcome"
 	"orion/internal/queue"
 	"orion/internal/snap"
 )
@@ -47,7 +48,7 @@ var (
 // instead of queueing unboundedly. The condition is transient by
 // definition — callers should back off and retry (the HTTP surface maps
 // it to 429 with a Retry-After header).
-var ErrOverloaded = errors.New("orion: overloaded, retry later")
+var ErrOverloaded = outcome.ErrOverloaded
 
 // Sentinels for the remote-dispatch layer (internal/remote). A sweep
 // running with HTTP backends classifies its failures with these so
@@ -57,14 +58,14 @@ var (
 	// transport error, a truncated or undecodable response, or a retry
 	// budget exhausted against misbehaving backends. The simulation's own
 	// outcome is unknown — a re-run (or the local fallback) may succeed.
-	ErrRemote = errors.New("orion: remote dispatch failed")
+	ErrRemote = outcome.ErrRemote
 	// ErrBackendDown marks a point that found every configured backend
 	// unavailable: each circuit breaker open after consecutive failures,
 	// with no probe due. With local fallback enabled the point runs
 	// locally instead; with fallback disabled the point fails with an
 	// error wrapping both ErrRemote and ErrBackendDown, and the worker's
 	// stats count it.
-	ErrBackendDown = errors.New("orion: every remote backend is down")
+	ErrBackendDown = outcome.ErrBackendDown
 )
 
 // Sentinels for the checkpoint/resume and journaling layer.
@@ -138,12 +139,16 @@ func (e *DivergenceError) Unwrap() error { return ErrDiverged }
 //	}
 type InvariantError = core.InvariantError
 
-// SweepError aggregates the failures of a Sweep or SweepContext: Rates
-// lists the failing injection rates (in sweep order) and Errs the
-// corresponding errors. It unwraps to every underlying error, so
-// errors.Is(err, ErrSaturated) reports whether any point saturated.
+// SweepError aggregates the failures of a Sweep or SweepContext: Index
+// lists the failing points' positions in the rate list (in sweep order),
+// Rates their injection rates and Errs the corresponding errors. It
+// unwraps to every underlying error, so errors.Is(err, ErrSaturated)
+// reports whether any point saturated.
 type SweepError struct {
-	// Rates are the injection rates whose runs failed.
+	// Index are the positions in the swept rate list of the points that
+	// failed, so a failure is matched to its point even when rates repeat.
+	Index []int
+	// Rates are the injection rates whose runs failed, parallel to Index.
 	Rates []float64
 	// Errs are the per-point errors, parallel to Rates.
 	Errs []error

@@ -111,21 +111,7 @@ type Config struct {
 	// bit-identical — AlwaysTick is the reference to diff it against
 	// (like ReferenceEventPath for the event fast path) and, like
 	// Workers, an execution detail excluded from digests and snapshots.
-	// The ORION_ALWAYS_TICK environment variable (any non-empty value
-	// but "0") forces it on.
 	AlwaysTick bool
-}
-
-// effectiveGating resolves whether the active-set scheduler is on,
-// honouring the AlwaysTick field and the ORION_ALWAYS_TICK override.
-func (c Config) effectiveGating() bool {
-	if c.AlwaysTick {
-		return false
-	}
-	if s := os.Getenv("ORION_ALWAYS_TICK"); s != "" && s != "0" {
-		return false
-	}
-	return true
 }
 
 // effectiveWorkers resolves Workers against the environment, the machine

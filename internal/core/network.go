@@ -35,8 +35,8 @@ type Network struct {
 	sinks   []*router.Sink
 
 	// Activity gates (active-set scheduler; see sim/gate.go), one per
-	// module, indexed by node. All nil when gating is off (AlwaysTick /
-	// ORION_ALWAYS_TICK) — every consumer tolerates a nil gate. srcGates
+	// module, indexed by node. All nil when gating is off (AlwaysTick) —
+	// every consumer tolerates a nil gate. srcGates
 	// is also the run loop's hook: the generator enqueuing a packet must
 	// wake the source before the engine steps that cycle.
 	srcGates  []*sim.Gate
@@ -133,7 +133,7 @@ func Build(cfg Config) (*Network, error) {
 	if workers > 1 {
 		engine.SetParallel(workers)
 	}
-	if cfg.effectiveGating() {
+	if !cfg.AlwaysTick {
 		engine.EnableGating()
 	}
 	account := stats.NewEnergyAccount(nodes)

@@ -157,14 +157,22 @@ var nowMs = func() int64 { return time.Now().UnixMilli() }
 // TryClaim appends a claim for idx and arbitrates by re-reading: it
 // returns the post-claim state and whether this worker is now the
 // holder. Losing is not an error — another worker's record landed first.
+// A claim swallowed by a crashed writer's torn line leaves the point
+// unheld; as in Commit, that is detected by the re-read and the claim
+// re-appended at once on a fresh line.
 func (q *File) TryClaim(idx int, worker string, lease time.Duration) (won bool, st *State, err error) {
-	rec := Record{Kind: KindClaim, Index: idx, Worker: worker, At: nowMs(), LeaseMs: lease.Milliseconds()}
-	if err := q.Append(rec); err != nil {
-		return false, nil, err
-	}
-	st, err = q.Load()
-	if err != nil {
-		return false, nil, err
+	for attempt := 0; attempt < 3; attempt++ {
+		rec := Record{Kind: KindClaim, Index: idx, Worker: worker, At: nowMs(), LeaseMs: lease.Milliseconds()}
+		if err := q.Append(rec); err != nil {
+			return false, nil, err
+		}
+		st, err = q.Load()
+		if err != nil {
+			return false, nil, err
+		}
+		if st.Points[idx].Status != Pending {
+			break
+		}
 	}
 	return st.HolderOf(idx) == worker, st, nil
 }

@@ -321,6 +321,39 @@ func TestTornClaimTailTolerated(t *testing.T) {
 	}
 }
 
+// TestTryClaimRetriesSwallowedClaim: on a journal ending in an
+// unterminated line (a writer crashed mid-append), the first claim's
+// bytes join the dead line and the point stays pending; TryClaim must
+// notice and re-append on a fresh line, so the first call wins.
+func TestTryClaimRetriesSwallowedClaim(t *testing.T) {
+	fakeClock(t, 1000)
+	dir := t.TempDir()
+	qf := mustCreate(t, dir)
+	qf.Close()
+	path := filepath.Join(dir, "queue.wal")
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"t":"claim","index":2,"w":"dead","at_ms":9`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	rq, err := Open(path, testHeader())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rq.Close()
+	won, st, err := rq.TryClaim(1, "w1", time.Second)
+	if err != nil || !won {
+		t.Fatalf("first claim after a torn tail: won=%v err=%v", won, err)
+	}
+	if st.HolderOf(1) != "w1" || st.Points[2].Status != Pending {
+		t.Fatalf("state after claim: %+v", st.Points)
+	}
+}
+
 // TestDropReturnsPending covers the graceful-release path.
 func TestDropReturnsPending(t *testing.T) {
 	fakeClock(t, 1000)

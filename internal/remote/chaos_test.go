@@ -284,6 +284,37 @@ func TestNoLocalFallbackSurfacesBackendDown(t *testing.T) {
 	}
 }
 
+// TestNoLocalFallbackJournaledMergesBackendDown: a journaled sweep
+// whose points all find the fleet down merges to an error wrapping
+// ErrBackendDown and ErrRemote, as the live point error does.
+func TestNoLocalFallbackJournaledMergesBackendDown(t *testing.T) {
+	dead := httptest.NewServer(http.NotFoundHandler())
+	deadURL := dead.URL
+	dead.Close()
+	pool, err := NewPool(Options{
+		Backends:        []string{deadURL},
+		PerTryTimeout:   250 * time.Millisecond,
+		TripAfter:       1,
+		CoolDown:        time.Hour,
+		RetryBase:       time.Millisecond,
+		RetryMax:        5 * time.Millisecond,
+		NoLocalFallback: true,
+	})
+	if err != nil {
+		t.Fatalf("NewPool: %v", err)
+	}
+	path := filepath.Join(t.TempDir(), "queue.jsonl")
+	_, err = orion.SweepDistributed(context.Background(), chaosConfig(), chaosRates, orion.DistributedSweepOptions{
+		Path:    path,
+		Workers: 2,
+		Lease:   5 * time.Second,
+		Run:     pool.RunPoint,
+	})
+	if !errors.Is(err, orion.ErrBackendDown) || !errors.Is(err, orion.ErrRemote) {
+		t.Fatalf("merged journaled sweep: got %v, want ErrBackendDown and ErrRemote", err)
+	}
+}
+
 // TestRemoteDeterministicOutcomeIsTyped: a backend reporting saturation
 // must fail the point with the same sentinel a local run raises — no
 // retry, no fallback masking a real simulation outcome.

@@ -13,6 +13,7 @@ import (
 
 	"orion"
 	"orion/internal/backoff"
+	"orion/internal/outcome"
 	"orion/internal/serve"
 )
 
@@ -180,35 +181,17 @@ func (p *Pool) dispatch(ctx context.Context, b *backend, body []byte) (*orion.Re
 		}
 		return resp.Result, 0, verdictOK, nil
 	}
-	switch resp.Code {
-	case serve.CodeSaturated, serve.CodeDeadlock, serve.CodeInvariant:
-		return nil, 0, verdictTerminal, terminalErr(resp.Code, resp.Faulted, resp.Error)
-	default:
-		// timeout, cancelled, draining, bad_request, internal, or a code
-		// from a future backend version: the simulation has no
-		// deterministic answer yet — retry elsewhere or fall back.
-		return nil, 0, verdictFail, fmt.Errorf("remote: %s: backend failed with code %q: %s", b.url, resp.Code, resp.Error)
+	if outcome.Final(resp.Code) {
+		// Rebuilt with the sentinels a local run raises, so errors.Is
+		// behaves — and the queue journal classifies — exactly as if the
+		// point had run here.
+		return nil, 0, verdictTerminal, fmt.Errorf("remote: backend reports: %w",
+			outcome.Err(resp.Code, resp.Faulted, resp.Error))
 	}
-}
-
-// terminalErr reconstructs a deterministic simulation failure reported
-// by a backend as the matching typed sentinel, so errors.Is behaves —
-// and the queue journal classifies — exactly as if the point had run
-// locally.
-func terminalErr(code string, faulted bool, msg string) error {
-	var base error
-	switch code {
-	case serve.CodeSaturated:
-		base = orion.ErrSaturated
-	case serve.CodeDeadlock:
-		base = orion.ErrDeadlock
-	default:
-		base = orion.ErrInvariant
-	}
-	if faulted {
-		return fmt.Errorf("remote: backend reports: %w: %w: %s", base, orion.ErrFaulted, msg)
-	}
-	return fmt.Errorf("remote: backend reports: %w: %s", base, msg)
+	// timeout, cancelled, draining, bad_request, internal, or a code from
+	// a future backend version: the simulation has no deterministic
+	// answer yet — retry elsewhere or fall back.
+	return nil, 0, verdictFail, fmt.Errorf("remote: %s: backend failed with code %q: %s", b.url, resp.Code, resp.Error)
 }
 
 // parseRetryAfter reads a Retry-After header's delay-seconds form; 0

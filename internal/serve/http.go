@@ -108,7 +108,7 @@ func (s *Server) writeResponse(w http.ResponseWriter, resp *Response) {
 		w.Header().Set("Retry-After", fmt.Sprint(s.retryAfterHint()))
 	case CodeDraining:
 		status = http.StatusServiceUnavailable
-	case CodeInternal:
+	case CodeInternal, CodeBackendDown:
 		status = http.StatusInternalServerError
 	}
 	if resp.Code == "" && resp.JobID != "" && resp.Status == JobQueued {

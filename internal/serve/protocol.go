@@ -13,7 +13,7 @@
 //   - per-request deadlines mapped onto RunContext/SweepContext,
 //   - structured error responses carrying stable machine-readable codes
 //     for the sentinel taxonomy (saturated, deadlock, invariant,
-//     overloaded, timeout, ...),
+//     overloaded, backend_down, timeout, ...),
 //   - a persistent result cache keyed by the config digest, with atomic
 //     CRC-checked entries (a corrupt or torn entry is silently
 //     recomputed — never served, never fatal) and singleflight dedup so
@@ -28,6 +28,7 @@ import (
 	"math"
 
 	"orion"
+	taxonomy "orion/internal/outcome"
 )
 
 // Request operations.
@@ -41,21 +42,23 @@ const (
 )
 
 // Stable machine-readable response codes. A response with OK true has no
-// code; every failure carries exactly one. The simulation-outcome codes
-// (saturated, deadlock, invariant, timeout, cancelled) mirror the
-// package orion sentinel taxonomy; the service codes (bad_request,
-// overloaded, draining, not_found, internal) are the serving layer's own.
+// code; every failure carries exactly one. The failure codes of a run
+// or sweep are internal/outcome's, the one taxonomy the sweep journal
+// also persists (imported as taxonomy, since this package has its own
+// outcome type); bad_request, draining and not_found are the serving
+// layer's own.
 const (
-	CodeBadRequest = "bad_request" // malformed request or invalid config
-	CodeOverloaded = "overloaded"  // shed by admission control; retry later
-	CodeDraining   = "draining"    // server is shutting down; not admitting
-	CodeNotFound   = "not_found"   // unknown job id
-	CodeSaturated  = "saturated"   // orion.ErrSaturated
-	CodeDeadlock   = "deadlock"    // orion.ErrDeadlock
-	CodeInvariant  = "invariant"   // orion.ErrInvariant
-	CodeTimeout    = "timeout"     // the request deadline expired mid-run
-	CodeCancelled  = "cancelled"   // the request or server was cancelled
-	CodeInternal   = "internal"    // unexpected failure
+	CodeBadRequest  = "bad_request"        // malformed request or invalid config
+	CodeDraining    = "draining"           // server is shutting down; not admitting
+	CodeNotFound    = "not_found"          // unknown job id
+	CodeOverloaded  = taxonomy.Overloaded  // shed by admission control; retry later
+	CodeSaturated   = taxonomy.Saturated   // orion.ErrSaturated
+	CodeDeadlock    = taxonomy.Deadlock    // orion.ErrDeadlock
+	CodeInvariant   = taxonomy.Invariant   // orion.ErrInvariant
+	CodeBackendDown = taxonomy.BackendDown // orion.ErrBackendDown: every remote backend down
+	CodeTimeout     = taxonomy.Timeout     // the request deadline expired mid-run
+	CodeCancelled   = taxonomy.Cancelled   // the request or server was cancelled
+	CodeInternal    = taxonomy.Internal    // unexpected failure
 )
 
 // Protocol bounds. A request line (or HTTP body) larger than

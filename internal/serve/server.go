@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"orion"
+	taxonomy "orion/internal/outcome"
 )
 
 // Options configures a Server.
@@ -114,7 +115,7 @@ func New(opts Options) (*Server, error) {
 		pool:     newPool(opts.Workers, opts.QueueDepth),
 		base:     base,
 		stopExec: stop,
-		runSim: orion.RunContext,
+		runSim:   orion.RunContext,
 		sweepSim: func(ctx context.Context, cfg orion.Config, rates []float64, progress orion.SweepProgress) ([]*orion.Result, error) {
 			return orion.SweepWithRunner(ctx, cfg, rates, opts.RunPoint, progress)
 		},
@@ -299,12 +300,11 @@ func (s *Server) simulate(req *Request, cfg orion.Config, progress orion.SweepPr
 		return &outcome{Result: res}
 	case OpSweep:
 		results, err := s.sweepSim(ctx, cfg, req.Rates, progress)
-		out := &outcome{Results: results}
-		if err != nil {
-			code, faulted := codeOf(err)
-			out.Code, out.Error, out.Faulted = code, err.Error(), faulted
-			out.PointCodes = pointCodes(req.Rates, results, err)
+		if err == nil {
+			return &outcome{Results: results}
 		}
+		out := errOutcome(err)
+		out.Results, out.PointCodes = results, pointCodes(len(req.Rates), err)
 		return out
 	default:
 		return &outcome{Code: CodeInternal, Error: fmt.Sprintf("serve: unreachable op %q", req.Op)}
@@ -420,27 +420,20 @@ func (o *outcome) response(id, digest string, cached bool) *Response {
 
 // cacheable reports whether the outcome may be memoized: only
 // deterministic outcomes — success, or failures that would reproduce
-// exactly on a re-run (saturated, deadlock, invariant) — are stored.
-// Transient outcomes (timeout, cancelled, overloaded, internal) must be
+// exactly on a re-run (taxonomy.Final) — are stored. Transient outcomes
+// (timeout, cancelled, overloaded, backend_down, internal) must be
 // recomputed.
 func (o *outcome) cacheable() bool {
-	if !deterministicCode(o.Code) {
+	final := func(code string) bool { return code == "" || taxonomy.Final(code) }
+	if !final(o.Code) {
 		return false
 	}
 	for _, code := range o.PointCodes {
-		if !deterministicCode(code) {
+		if !final(code) {
 			return false
 		}
 	}
 	return true
-}
-
-func deterministicCode(code string) bool {
-	switch code {
-	case "", CodeSaturated, CodeDeadlock, CodeInvariant:
-		return true
-	}
-	return false
 }
 
 // decodeOutcome parses a cache payload; nil means undecodable (the
@@ -455,53 +448,20 @@ func decodeOutcome(payload []byte) *outcome {
 
 // errOutcome classifies an error into an outcome.
 func errOutcome(err error) *outcome {
-	code, faulted := codeOf(err)
+	code, faulted := taxonomy.Code(err)
 	return &outcome{Code: code, Error: err.Error(), Faulted: faulted}
 }
 
-// codeOf maps the sentinel taxonomy to stable response codes. Order
-// matters: ErrInvariant first (an invariant failure may also look
-// saturated), the context kinds after the simulator's own sentinels.
-func codeOf(err error) (code string, faulted bool) {
-	faulted = errors.Is(err, orion.ErrFaulted)
-	switch {
-	case errors.Is(err, orion.ErrInvariant):
-		code = CodeInvariant
-	case errors.Is(err, orion.ErrSaturated):
-		code = CodeSaturated
-	case errors.Is(err, orion.ErrDeadlock):
-		code = CodeDeadlock
-	case errors.Is(err, orion.ErrOverloaded):
-		code = CodeOverloaded
-	case errors.Is(err, context.DeadlineExceeded):
-		code = CodeTimeout
-	case errors.Is(err, context.Canceled):
-		code = CodeCancelled
-	default:
-		code = CodeInternal
-	}
-	return code, faulted
-}
-
-// pointCodes builds the per-point failure codes of a sweep from its
-// aggregated *SweepError, parallel to rates ("" for points that
-// succeeded). The SweepError lists failing rates in sweep order, so a
-// single forward scan aligns them even when rates repeat.
-func pointCodes(rates []float64, results []*orion.Result, err error) []string {
-	codes := make([]string, len(rates))
+// pointCodes builds the per-point failure codes of an n-point sweep from
+// its aggregated *SweepError ("" for points that succeeded).
+func pointCodes(n int, err error) []string {
+	codes := make([]string, n)
 	var serr *orion.SweepError
-	if !errors.As(err, &serr) {
-		return codes
-	}
-	j := 0
-	for i := range rates {
-		if j >= len(serr.Rates) {
-			break
-		}
-		failed := i >= len(results) || results[i] == nil
-		if failed && rates[i] == serr.Rates[j] {
-			codes[i], _ = codeOf(serr.Errs[j])
-			j++
+	if errors.As(err, &serr) {
+		for j, i := range serr.Index {
+			if i < n {
+				codes[i], _ = taxonomy.Code(serr.Errs[j])
+			}
 		}
 	}
 	return codes

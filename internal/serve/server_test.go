@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -262,6 +264,26 @@ func TestHandleClassifiesSentinels(t *testing.T) {
 	}
 }
 
+// TestHandleBackendDownIsTransient: a run that found every remote
+// backend down answers code backend_down with HTTP status 500, and is
+// recomputed rather than served from the cache.
+func TestHandleBackendDownIsTransient(t *testing.T) {
+	s, runs := newTestServer(t, Options{}, func(ctx context.Context, cfg orion.Config) (*orion.Result, error) {
+		return nil, fmt.Errorf("remote: %w: %w", orion.ErrRemote, orion.ErrBackendDown)
+	})
+	cfg := testConfigJSON(t, 150)
+	first := s.Handle(context.Background(), runReq(t, cfg))
+	second := s.Handle(context.Background(), runReq(t, cfg))
+	if first.Code != CodeBackendDown || second.Code != CodeBackendDown || second.Cached || runs.Load() != 2 {
+		t.Fatalf("responses %+v / %+v after %d runs, want two uncached %q", first, second, runs.Load(), CodeBackendDown)
+	}
+	rec := httptest.NewRecorder()
+	s.writeResponse(rec, first)
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("HTTP status %d, want 500", rec.Code)
+	}
+}
+
 func TestHandleDeterministicFailuresAreCached(t *testing.T) {
 	s, runs := newTestServer(t, Options{}, func(ctx context.Context, cfg orion.Config) (*orion.Result, error) {
 		return nil, fmt.Errorf("over the knee: %w", orion.ErrSaturated)
@@ -293,7 +315,7 @@ func TestHandleSweepPointCodes(t *testing.T) {
 	s.sweepSim = func(ctx context.Context, cfg orion.Config, rates []float64, progress orion.SweepProgress) ([]*orion.Result, error) {
 		// Middle point saturates; the others finish.
 		return []*orion.Result{{AvgLatency: 1}, nil, {AvgLatency: 2}},
-			&orion.SweepError{Rates: []float64{rates[1]}, Errs: []error{orion.ErrSaturated}}
+			&orion.SweepError{Index: []int{1}, Rates: []float64{rates[1]}, Errs: []error{orion.ErrSaturated}}
 	}
 	req := &Request{Op: OpSweep, Config: testConfigJSON(t, 10), Rates: []float64{0.02, 0.5, 0.04}}
 	resp := s.Handle(context.Background(), req)

@@ -44,8 +44,8 @@ import (
 // skipped tick is one that would have read no wire values, published no
 // events, drawn no random numbers and mutated no state, so event order,
 // energy accumulation order and every snapshot word are unchanged. The
-// always-tick path is kept (Config.AlwaysTick / ORION_ALWAYS_TICK) as the
-// reference to diff against.
+// always-tick path is kept (Config.AlwaysTick) as the reference to diff
+// against.
 
 // Gated is a Module that can advertise quiescence. Quiescent must return
 // true only if Tick (and TickOrdered, for OrderedTickers) would be a

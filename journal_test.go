@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"orion/internal/queue"
 )
 
 // journalLines splits a journal file into its intact lines.
@@ -295,5 +297,63 @@ func TestSweepJournaledReleasesClaimsOnCancel(t *testing.T) {
 		if p.State != "pending" {
 			t.Fatalf("point %d after cancel = %+v, want pending (claim dropped)", p.Index, p)
 		}
+	}
+}
+
+// TestSweepJournaledTimeoutStaysTyped: a point that hits PointTimeout
+// fails with context.DeadlineExceeded on the journaled path just as on
+// the plain one — the merge rebuilds transient failures with their
+// sentinels too, not only the final ones.
+func TestSweepJournaledTimeoutStaysTyped(t *testing.T) {
+	cfg := OnChip4x4(VC16(), 0.05)
+	cfg.Sim.PointTimeout = time.Nanosecond
+	rates := []float64{0.05}
+	if _, err := SweepContext(context.Background(), cfg, rates); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("plain sweep: got %v, want context.DeadlineExceeded", err)
+	}
+	path := filepath.Join(t.TempDir(), "timeout.jsonl")
+	_, err := SweepJournaledContext(context.Background(), cfg, rates, SweepJournalOptions{Path: path})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("journaled sweep: got %v, want context.DeadlineExceeded", err)
+	}
+}
+
+// TestMergeIndexesRepeatedRates: with the same rate at two points, a
+// failure is matched to its point by index, not by rate. Point 0 is
+// unsettled and point 1 failed saturated; the merge must blame point 1.
+func TestMergeIndexesRepeatedRates(t *testing.T) {
+	cfg := fastConfig(0)
+	rates := []float64{0.1, 0.1}
+	hdr, err := sweepQueueHeader(cfg, rates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := `{"index":1,"rate":0.1,"err":"network saturated","err_kind":"saturated"}`
+	lines := []any{
+		hdr,
+		queue.Record{Kind: queue.KindClaim, Index: 1, Worker: "w", At: 1, LeaseMs: 1000},
+		queue.Record{Kind: queue.KindDone, Index: 1, Worker: "w", At: 2, Payload: json.RawMessage(payload), Final: true},
+	}
+	var file []byte
+	for _, l := range lines {
+		b, err := json.Marshal(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		file = append(append(file, b...), '\n')
+	}
+	path := filepath.Join(t.TempDir(), "repeat.jsonl")
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	results, err := SweepQueueWait(ctx, cfg, rates, path, 0)
+	var serr *SweepError
+	if !errors.As(err, &serr) || !errors.Is(err, ErrSaturated) {
+		t.Fatalf("merge: got %v, want a *SweepError wrapping ErrSaturated", err)
+	}
+	if len(serr.Index) != 1 || serr.Index[0] != 1 || len(results) != 2 || results[0] != nil || results[1] != nil {
+		t.Fatalf("merge: Index %v, results %v; want Index [1] and no results", serr.Index, results)
 	}
 }

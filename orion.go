@@ -236,8 +236,7 @@ type SimConfig struct {
 	// gated path is bit-identical — AlwaysTick exists as the reference to
 	// diff against (like ReferenceEventPath), not as a tuning knob. Like
 	// Workers it is an execution detail, excluded from config digests and
-	// snapshot binding, so snapshots resume across the two modes. The
-	// ORION_ALWAYS_TICK environment variable forces it on.
+	// snapshot binding, so snapshots resume across the two modes.
 	AlwaysTick bool `json:"-"`
 }
 

@@ -572,6 +572,7 @@ func collectSweepError(rates []float64, errs []error) *SweepError {
 			if serr == nil {
 				serr = &SweepError{}
 			}
+			serr.Index = append(serr.Index, i)
 			serr.Rates = append(serr.Rates, rates[i])
 			serr.Errs = append(serr.Errs, err)
 		}

@@ -227,30 +227,42 @@ func VerifyEventPath(ctx context.Context, cfg Config, every, maxCycles int64) er
 	if err != nil {
 		return err
 	}
-	refCfg := cfg
-	refCfg.Sim.ReferenceEventPath = true
-	ref, err := NewSim(refCfg)
-	if err != nil {
+	// Each oracle is a build, differing from the primary one in one
+	// SimConfig setting, that must stay identical to it. prefix and pair
+	// name it in DivergenceError.Section for a state difference and a
+	// completion difference.
+	type oracle struct {
+		sim          *Sim
+		prefix, pair string
+	}
+	var oracles []oracle
+	add := func(mod func(*SimConfig), prefix, pair string) error {
+		ocfg := cfg
+		mod(&ocfg.Sim)
+		o, err := NewSim(ocfg)
+		if err == nil {
+			oracles = append(oracles, oracle{o, prefix, pair})
+		}
 		return err
 	}
-	// When the primary build runs parallel, a third build pinned to the
+	if err := add(func(s *SimConfig) { s.ReferenceEventPath = true },
+		"fast vs reference event path: ", "fast vs reference"); err != nil {
+		return err
+	}
+	// When the primary build runs parallel, a build pinned to the
 	// sequential engine checks the parallel kernel's bit-identity claim
 	// end to end, not just in the unit tests.
-	var seq *Sim
 	if fast.Workers() > 1 {
-		seqCfg := cfg
-		seqCfg.Sim.Workers = 1
-		if seq, err = NewSim(seqCfg); err != nil {
+		if err := add(func(s *SimConfig) { s.Workers = 1 },
+			fmt.Sprintf("parallel (%d workers) vs sequential engine: ", fast.Workers()), "parallel vs sequential"); err != nil {
 			return err
 		}
 	}
 	// An always-tick build checks the active-set scheduler's bit-identity
 	// claim the same way, unless the caller already opted out of gating.
-	var alt *Sim
 	if !cfg.Sim.AlwaysTick {
-		altCfg := cfg
-		altCfg.Sim.AlwaysTick = true
-		if alt, err = NewSim(altCfg); err != nil {
+		if err := add(func(s *SimConfig) { s.AlwaysTick = true },
+			"activity-gated vs always-tick scheduler: ", "gated vs always-tick"); err != nil {
 			return err
 		}
 	}
@@ -259,55 +271,24 @@ func VerifyEventPath(ctx context.Context, cfg Config, every, maxCycles int64) er
 		if err != nil {
 			return err
 		}
-		refDone, err := ref.StepTo(ctx, cycle)
-		if err != nil {
-			return err
-		}
 		a, err := fast.net.CaptureState(nil)
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrSnapshot, err)
 		}
-		b, err := ref.net.CaptureState(nil)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrSnapshot, err)
-		}
-		if d := snap.Diff(a, b); d != "" {
-			return &DivergenceError{Cycle: fast.Cycle(), Section: "fast vs reference event path: " + d}
-		}
-		if fastDone != refDone {
-			return &DivergenceError{Cycle: fast.Cycle(), Section: "completion status (fast vs reference)"}
-		}
-		if seq != nil {
-			seqDone, err := seq.StepTo(ctx, cycle)
+		for _, o := range oracles {
+			done, err := o.sim.StepTo(ctx, cycle)
 			if err != nil {
 				return err
 			}
-			c, err := seq.net.CaptureState(nil)
+			b, err := o.sim.net.CaptureState(nil)
 			if err != nil {
 				return fmt.Errorf("%w: %v", ErrSnapshot, err)
 			}
-			if d := snap.Diff(a, c); d != "" {
-				return &DivergenceError{Cycle: fast.Cycle(),
-					Section: fmt.Sprintf("parallel (%d workers) vs sequential engine: %s", fast.Workers(), d)}
+			if d := snap.Diff(a, b); d != "" {
+				return &DivergenceError{Cycle: fast.Cycle(), Section: o.prefix + d}
 			}
-			if fastDone != seqDone {
-				return &DivergenceError{Cycle: fast.Cycle(), Section: "completion status (parallel vs sequential)"}
-			}
-		}
-		if alt != nil {
-			altDone, err := alt.StepTo(ctx, cycle)
-			if err != nil {
-				return err
-			}
-			c, err := alt.net.CaptureState(nil)
-			if err != nil {
-				return fmt.Errorf("%w: %v", ErrSnapshot, err)
-			}
-			if d := snap.Diff(a, c); d != "" {
-				return &DivergenceError{Cycle: fast.Cycle(), Section: "activity-gated vs always-tick scheduler: " + d}
-			}
-			if fastDone != altDone {
-				return &DivergenceError{Cycle: fast.Cycle(), Section: "completion status (gated vs always-tick)"}
+			if done != fastDone {
+				return &DivergenceError{Cycle: fast.Cycle(), Section: "completion status (" + o.pair + ")"}
 			}
 		}
 		if fastDone {
