@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build fmt-check vet test bench-test race race-workers fuzz-smoke bench-smoke bench bench-compare distributed-sweep remote-sweep serve-smoke ci
+.PHONY: build fmt-check vet test bench-test race race-workers fuzz-smoke bench-smoke bench bench-compare checkpoint-resume distributed-sweep remote-sweep serve-smoke sweep-gates ci
 
 build:
 	$(GO) build ./...
@@ -44,6 +44,11 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzServeRequest -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzParseBackends -fuzztime 10s ./internal/remote
 
+# End-to-end crash/resume gate: a journaled sweep SIGKILLed mid-run and
+# resumed gives a CSV byte-identical to a clean sweep.
+checkpoint-resume:
+	scripts/checkpoint_resume.sh
+
 # End-to-end distributed-sweep chaos gate: 4 worker processes, two
 # SIGKILLed mid-run, merged CSV byte-identical to a clean sweep.
 distributed-sweep:
@@ -60,6 +65,9 @@ remote-sweep:
 # drain with exit 0, cache entries surviving a restart.
 serve-smoke:
 	scripts/serve_smoke.sh
+
+# Every end-to-end sweep and service gate CI runs as a script.
+sweep-gates: checkpoint-resume distributed-sweep remote-sweep serve-smoke
 
 # A fast allocation-regression check: the Publish and router-tick
 # micro-benchmarks must report 0 allocs/op (also pinned by the

@@ -377,7 +377,7 @@ func benchQueueOverhead(b *testing.B, n int) {
 	path := filepath.Join(b.TempDir(), "sweep.wal")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SweepDistributed(context.Background(), cfg, rates, DistributedSweepOptions{Path: path, Run: run}); err != nil {
+		if _, err := SweepJournaledContext(context.Background(), cfg, rates, SweepJournalOptions{Path: path, Run: run}); err != nil {
 			b.Fatal(err)
 		}
 	}

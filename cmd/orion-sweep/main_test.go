@@ -1,0 +1,37 @@
+package main
+
+import (
+	"errors"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"orion/internal/serve"
+)
+
+// TestBackendsWithoutJournalWritesNoFile: -backends without -journal
+// dispatches the sweep from an in-memory queue, so it creates no file in
+// TMPDIR, not even for the length of the sweep: TMPDIR names a directory
+// that does not exist, where creating any file fails.
+func TestBackendsWithoutJournalWritesNoFile(t *testing.T) {
+	s, err := serve.New(serve.Options{Workers: 1, CacheDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	tmp := filepath.Join(t.TempDir(), "tmp")
+	t.Setenv("TMPDIR", tmp)
+	args := os.Args
+	defer func() { os.Args = args }()
+	os.Args = []string{"orion-sweep", "-preset", "vc16", "-samples", "200", "-rates", "0.02,0.04", "-backends", ts.URL}
+	if status := run(); status != 0 {
+		t.Fatalf("orion-sweep exited %d", status)
+	}
+	if _, err := os.Stat(tmp); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("TMPDIR %s was created (stat: %v)", tmp, err)
+	}
+}

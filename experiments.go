@@ -105,8 +105,8 @@ func sweepCurve(label string, base Config, rates []float64) (ConfigCurve, error)
 		return curve, fmt.Errorf("%s zero-load: %w", label, err)
 	}
 	curve.ZeroLoad = zl
-	results, _ := Sweep(base, rates) // per-point failures become Failed points
-	var okRates, okLats []float64
+	// Per-point failures become Failed points; the curve keeps the rest.
+	results, err := Sweep(base, rates)
 	for i, res := range results {
 		pt := RatePoint{Rate: rates[i]}
 		if res == nil {
@@ -116,35 +116,11 @@ func sweepCurve(label string, base Config, rates []float64) (ConfigCurve, error)
 			pt.PowerW = res.TotalPowerW
 			pt.Throughput = res.AcceptedFlitsPerNodeCycle
 			pt.Breakdown = res.Breakdown
-			okRates = append(okRates, rates[i])
-			okLats = append(okLats, res.AvgLatency)
 		}
 		curve.Points = append(curve.Points, pt)
 	}
-	for i, pt := range curve.Points {
-		if pt.Failed {
-			// An aborted over-saturated run still witnesses saturation.
-			okRates = append(okRates, rates[i])
-			okLats = append(okLats, 2*zl*1e6)
-		}
-	}
-	if r, ok := saturationFrom(okRates, okLats, zl); ok {
-		curve.SaturationRate = r
-		curve.Saturated = true
-	}
+	curve.SaturationRate, curve.Saturated, _ = saturation(rates, results, err, zl)
 	return curve, nil
-}
-
-func saturationFrom(rates, lats []float64, zeroLoad float64) (float64, bool) {
-	best, found := 0.0, false
-	for i := range rates {
-		if lats[i] > 2*zeroLoad {
-			if !found || rates[i] < best {
-				best, found = rates[i], true
-			}
-		}
-	}
-	return best, found
 }
 
 // Figure5 sweeps the four on-chip configurations over the given rates

@@ -32,7 +32,7 @@ func TestSchedules(t *testing.T) {
 		// remote.Pool: HTTP dispatch retries, keyed by rate.
 		{"remote dispatch", 10 * time.Millisecond, 200 * time.Millisecond, 60,
 			rateKeys(0.02, 0.04, 0.05, 0.06, 0.08)},
-		// SweepWorker: a lost claim race, keyed by worker and point.
+		// A queue worker: a lost claim race, keyed by worker and point.
 		{"claim race", 500 * time.Millisecond, time.Second, 1,
 			[]uint64{1, 2, 3, 0xdeadbeef, 1 << 63}},
 	} {

@@ -23,10 +23,15 @@ import (
 // return is it, updated in place by the next of them: they must not run
 // concurrently with one another. Append, Beat, Drop and Reset only write
 // and are safe from any goroutine.
+//
+// A File made by Memory has no file: every record takes effect on its
+// State at once, and nothing is encoded, written or synced. All of its
+// methods must then run on one goroutine.
 type File struct {
 	path string
-	f    *os.File
-	hdr  Header
+	// f is the append descriptor; nil for an in-memory queue.
+	f   *os.File
+	hdr Header
 	// off is the byte offset up to which rp has consumed the journal.
 	off int64
 	rp  replayer
@@ -65,6 +70,14 @@ func Create(path string, hdr Header, fresh bool) (*File, error) {
 	return qf, nil
 }
 
+// Memory returns a queue that lives in this process only: the same
+// claim, beat, commit and drop protocol over a State no other process
+// can see, for a sweep that keeps no journal.
+func Memory(hdr Header) *File {
+	hdr.Version = Version
+	return &File{hdr: hdr, rp: replayer{st: &State{Header: hdr, Points: make([]Point, len(hdr.Rates))}}}
+}
+
 // Open joins an existing queue journal, validating that its header names
 // the same sweep as want: a version or structural problem fails with
 // ErrQueue, a config-digest or rate-list mismatch with ErrStale.
@@ -92,9 +105,14 @@ func Open(path string, want Header) (*File, error) {
 }
 
 // Close releases the append descriptor. The journal itself persists.
-func (q *File) Close() error { return q.f.Close() }
+func (q *File) Close() error {
+	if q.f == nil {
+		return nil
+	}
+	return q.f.Close()
+}
 
-// Path returns the journal path.
+// Path returns the journal path; "" for an in-memory queue.
 func (q *File) Path() string { return q.path }
 
 // Header returns the journal's validated header.
@@ -113,8 +131,16 @@ func (q *File) append(line []byte) error {
 	return nil
 }
 
-// Append encodes and durably appends one record.
+// Append encodes and durably appends one record. An in-memory queue
+// applies it instead; its done records need no payload.
 func (q *File) Append(rec Record) error {
+	if q.f == nil {
+		if rec.Index < 0 || rec.Index >= len(q.hdr.Rates) {
+			return fmt.Errorf("%w: record index %d outside the %d-point sweep", ErrQueue, rec.Index, len(q.hdr.Rates))
+		}
+		q.rp.st.apply(rec)
+		return nil
+	}
 	if err := rec.validate(len(q.hdr.Rates)); err != nil {
 		return err
 	}
@@ -129,6 +155,9 @@ func (q *File) Append(rec Record) error {
 // state. Safe while other workers append: a torn tail (some other worker
 // mid-append) is simply not visible yet.
 func (q *File) Load() (*State, error) {
+	if q.f == nil {
+		return q.rp.st, nil
+	}
 	fi, err := q.f.Stat()
 	if err != nil {
 		return nil, fmt.Errorf("%w: reading %s: %v", ErrQueue, q.path, err)

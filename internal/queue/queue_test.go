@@ -65,6 +65,50 @@ func TestClaimCommitLifecycle(t *testing.T) {
 	}
 }
 
+// TestMemoryQueue runs the protocol over an in-memory queue: claims,
+// beats, drops and commits take effect at once, a done needs no
+// payload, and a stale commit is still refused.
+func TestMemoryQueue(t *testing.T) {
+	clock := fakeClock(t, 1000)
+	qf := Memory(testHeader())
+	defer qf.Close()
+	if qf.Path() != "" {
+		t.Fatalf("in-memory queue has path %q", qf.Path())
+	}
+	for i := 0; i < 3; i++ {
+		if won, st, err := qf.TryClaim(i, "w1", time.Second); err != nil || !won || st.HolderOf(i) != "w1" {
+			t.Fatalf("claim %d: won=%v err=%v", i, won, err)
+		}
+	}
+	if err := qf.Beat(0, "w1", time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := qf.Drop(1, "w1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := qf.Commit(0, "w1", nil, true); err != nil {
+		t.Fatal(err)
+	}
+	// Point 2's lease lapses and another worker steals it.
+	clock(2000)
+	if won, _, err := qf.TryClaim(2, "w2", time.Second); err != nil || !won {
+		t.Fatalf("steal: won=%v err=%v", won, err)
+	}
+	if err := qf.Commit(2, "w1", nil, true); !errors.Is(err, ErrLeaseLost) {
+		t.Fatalf("stale commit: got %v, want ErrLeaseLost", err)
+	}
+	st, err := qf.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, c, d := st.Counts(); p != 1 || c != 1 || d != 1 {
+		t.Fatalf("counts = %d pending, %d claimed, %d done; want 1, 1, 1", p, c, d)
+	}
+	if err := qf.Beat(3, "w1", time.Second); !errors.Is(err, ErrQueue) {
+		t.Fatalf("out-of-range record: got %v, want ErrQueue", err)
+	}
+}
+
 // TestLoadParsesOnlyNewRecords pins incremental replay: however long
 // the journal already is, a Load after k appends decodes exactly k
 // lines, and leaves a torn tail to be decoded once it is terminated.

@@ -42,9 +42,9 @@ const (
 )
 
 // RunPoint dispatches one sweep point to the backend pool. It is an
-// orion.PointRunner: plug it into SweepWorkerOptions.Run /
-// DistributedSweepOptions.Run / serve.Options.RunPoint and the existing
-// claim/heartbeat/commit machinery executes points remotely.
+// orion.PointRunner: plug it into orion.SweepJournalOptions.Run or
+// serve.Options.RunPoint and the existing claim/heartbeat/commit
+// machinery executes points remotely.
 func (p *Pool) RunPoint(ctx context.Context, cfg orion.Config, rate float64) (*orion.Result, error) {
 	// Fold the point's rate into the config: the backend sees a complete
 	// single-run request, and its digest-keyed cache gets a stable

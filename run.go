@@ -6,9 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"orion/internal/backoff"
@@ -478,93 +475,52 @@ func ZeroLoadLatency(cfg Config) (float64, error) {
 	return core.ZeroLoadLatency(ccfg)
 }
 
-// Sweep runs the configuration at each injection rate concurrently on a
-// bounded worker pool (runtime.NumCPU() workers, so a thousand-point sweep
-// spawns a dozen goroutines, not a thousand) and returns results in rate
-// order. Rates that fail (e.g. deep saturation hitting MaxCycles) yield a
-// nil entry; when any rate fails the partial results are returned together
-// with a *SweepError aggregating the typed per-point errors, so one
-// saturating point never discards the rest of the curve.
+// Sweep runs the configuration at each injection rate, runtime.NumCPU()
+// points at a time, and returns results in rate order. It is
+// SweepJournaledContext with no journal; failures are reported as
+// there: a nil entry per failed rate, with a *SweepError aggregating the
+// typed per-point errors.
 func Sweep(cfg Config, rates []float64) ([]*Result, error) {
 	return SweepContext(context.Background(), cfg, rates)
 }
 
 // SweepContext is Sweep with cancellation and per-point deadlines.
-// Cancelling ctx aborts every in-flight point with an error wrapping
-// ctx.Err(); SimConfig.PointTimeout additionally bounds each point's
-// wall-clock time. A worker that panics (a simulator bug) records the
-// panic as that point's error instead of tearing down the process, so a
-// sweep always returns its partial results.
+// Cancelling ctx aborts every in-flight point; the partial results come
+// back with an error wrapping ctx.Err(). SimConfig.PointTimeout
+// additionally bounds each point's wall-clock time. A point that panics
+// (a simulator bug) records the panic as that point's error instead of
+// tearing down the process, so a sweep always returns its partial
+// results.
 func SweepContext(ctx context.Context, cfg Config, rates []float64) ([]*Result, error) {
-	return SweepWithRunner(ctx, cfg, rates, nil, nil)
+	return SweepJournaledContext(ctx, cfg, rates, SweepJournalOptions{})
 }
 
 // PointRunner executes one sweep point: the configuration at one
 // injection rate. RunPoint is the in-process default; internal/remote's
 // Pool.RunPoint dispatches the point to a remote orion-serve backend
 // instead. Runners must be safe for concurrent use — sweeps call them
-// from several workers at once.
+// for several points at once.
 type PointRunner func(ctx context.Context, cfg Config, rate float64) (*Result, error)
 
-// SweepProgress receives settled-point counts as a sweep advances:
-// done points out of total, called once per point in completion order.
-// Callbacks run on sweep worker goroutines and must be cheap and
-// concurrency-safe.
+// SweepProgress receives settled-point counts as a sweep advances: done
+// points out of total. It is called once as soon as the sweep's queue is
+// open (with the points already settled, often 0), then whenever the
+// count grows. done never decreases and ends at total once the sweep
+// completes; it may skip values when other processes settle several
+// points of a shared journal at once. Callbacks run on the sweep's
+// claim loop and must be cheap.
 type SweepProgress func(done, total int)
 
 // SweepWithRunner is SweepContext with a pluggable per-point executor
-// and a progress feed. Each rate is handed to run on a bounded worker
-// pool (nil means RunPoint, the in-process default); progress, when
-// non-nil, is invoked after every settled point. The serving layer uses
-// the runner seam to dispatch points to remote backends and the
-// progress seam to report points_done on async job polls.
+// (nil means RunPoint) and a progress feed (nil for none). The serving
+// layer uses the runner seam to dispatch points to remote backends and
+// the progress seam to report points_done on async job polls.
 func SweepWithRunner(ctx context.Context, cfg Config, rates []float64, run PointRunner, progress SweepProgress) ([]*Result, error) {
-	if run == nil {
-		run = RunPoint
-	}
-	results := make([]*Result, len(rates))
-	errs := make([]error, len(rates))
-	var done atomic.Int64
-	runPool(len(rates), runtime.NumCPU(), func(i int) {
-		results[i], errs[i] = run(ctx, cfg, rates[i])
-		if progress != nil {
-			progress(int(done.Add(1)), len(rates))
-		}
-	})
-
-	if serr := collectSweepError(rates, errs); serr != nil {
-		return results, serr
-	}
-	return results, nil
-}
-
-// runPool calls fn(i) for every i in [0, n) on at most workers
-// goroutines and returns once every call has, so a thousand-point sweep
-// spawns a dozen goroutines, not a thousand. (Journaled and distributed
-// sweeps bound their points in flight in the queue's claim loop.)
-func runPool(n, workers int, fn func(i int)) {
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < min(workers, n); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	return SweepJournaledContext(ctx, cfg, rates, SweepJournalOptions{Run: run, Progress: progress})
 }
 
 // collectSweepError aggregates per-point failures into a *SweepError in
-// rate order, or nil when every point succeeded. Shared by the plain,
-// journaled and distributed sweep paths so all three report failures
-// identically.
+// rate order, or nil when every point succeeded.
 func collectSweepError(rates []float64, errs []error) *SweepError {
 	var serr *SweepError
 	for i, err := range errs {
@@ -656,30 +612,47 @@ func runPointOnce(ctx context.Context, cfg Config, rate float64) (res *Result, e
 // SaturationThroughput sweeps the injection rates and returns the lowest
 // rate whose latency exceeds twice the zero-load latency — the paper's
 // saturation definition (Section 4.1). ok is false when the network does
-// not saturate within the given rates.
+// not saturate within the given rates. A point that fails with
+// ErrSaturated witnesses saturation; any other failure is returned in
+// err (with whatever rate the remaining points give).
 func SaturationThroughput(cfg Config, rates []float64) (rate float64, ok bool, results []*Result, err error) {
 	zl, err := ZeroLoadLatency(cfg)
 	if err != nil {
 		return 0, false, nil, err
 	}
 	results, err = Sweep(cfg, rates)
-	// A deep-saturation failure still witnesses saturation; scan what we
-	// have.
-	var rs, ls []float64
-	for i, res := range results {
-		if res != nil {
-			rs = append(rs, rates[i])
-			ls = append(ls, res.AvgLatency)
-		} else {
-			// Treat an aborted (over-saturated) run as infinitely
-			// slow at that rate.
-			rs = append(rs, rates[i])
-			ls = append(ls, 1e18)
+	rate, ok, err = saturation(rates, results, err, zl)
+	return rate, ok, results, err
+}
+
+// saturation reads the paper's saturation throughput off a swept curve:
+// the lowest rate whose latency exceeds twice zeroLoad. A point that
+// failed with ErrSaturated (an over-saturated run that could not finish)
+// counts as infinitely slow; any other failure says nothing about the
+// curve and is skipped. sweepErr is the sweep's error, returned unless
+// it is a *SweepError whose every failure is such a witness.
+func saturation(rates []float64, results []*Result, sweepErr error, zeroLoad float64) (rate float64, ok bool, err error) {
+	pointErrs := make([]error, len(rates))
+	serr, _ := sweepErr.(*SweepError)
+	witnessesOnly := serr != nil
+	if serr != nil {
+		for j, i := range serr.Index {
+			pointErrs[i] = serr.Errs[j]
+			witnessesOnly = witnessesOnly && errors.Is(serr.Errs[j], ErrSaturated)
 		}
 	}
-	rate, ok = stats.SaturationRate(rs, ls, zl)
-	if ok {
-		err = nil
+	var rs, ls []float64
+	for i, res := range results {
+		switch {
+		case res != nil:
+			rs, ls = append(rs, rates[i]), append(ls, res.AvgLatency)
+		case errors.Is(pointErrs[i], ErrSaturated):
+			rs, ls = append(rs, rates[i]), append(ls, math.Inf(1))
+		}
 	}
-	return rate, ok, results, err
+	rate, ok = stats.SaturationRate(rs, ls, zeroLoad)
+	if witnessesOnly {
+		sweepErr = nil
+	}
+	return rate, ok, sweepErr
 }
