@@ -336,6 +336,34 @@ func TestHandleSweepPointCodes(t *testing.T) {
 	}
 }
 
+// TestHandleSweepCutByDeadlineNotCached: a served sweep whose deadline
+// cuts off a point after another point failed saturated reports the
+// cut-off point as a timeout and is not cached, so a later request never
+// gets the truncated curve back.
+func TestHandleSweepCutByDeadlineNotCached(t *testing.T) {
+	s, _ := newTestServer(t, Options{RunPoint: func(ctx context.Context, cfg orion.Config, rate float64) (*orion.Result, error) {
+		if rate > 0.1 {
+			return nil, fmt.Errorf("rate %g: %w", rate, orion.ErrSaturated)
+		}
+		<-ctx.Done()
+		return nil, fmt.Errorf("orion: run aborted: %w", ctx.Err())
+	}}, nil)
+	req := &Request{Op: OpSweep, Config: testConfigJSON(t, 13), Rates: []float64{0.5, 0.02}, DeadlineMs: 50}
+	resp := s.Handle(context.Background(), req)
+	if resp.OK || len(resp.Results) != 2 || resp.Results[0] != nil || resp.Results[1] != nil {
+		t.Fatalf("cut-off sweep response = %+v, want failed with two nil results", resp)
+	}
+	if len(resp.PointCodes) != 2 || resp.PointCodes[0] != CodeSaturated || resp.PointCodes[1] != CodeTimeout {
+		t.Fatalf("point codes = %v, want [%s %s]", resp.PointCodes, CodeSaturated, CodeTimeout)
+	}
+	if got, ok := s.cache.Get(resp.Digest); ok {
+		t.Fatalf("cut-off sweep was cached: %s", got)
+	}
+	if second := s.Handle(context.Background(), req); second.Cached {
+		t.Fatalf("second cut-off sweep = %+v, want recomputed", second)
+	}
+}
+
 func TestHandleAsyncJobLifecycle(t *testing.T) {
 	s, _ := newTestServer(t, Options{}, nil)
 	s.sweepSim = func(ctx context.Context, cfg orion.Config, rates []float64, progress orion.SweepProgress) ([]*orion.Result, error) {
