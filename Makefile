@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build fmt-check vet test bench-test race race-workers fuzz-smoke bench-smoke bench bench-compare checkpoint-resume distributed-sweep remote-sweep serve-smoke sweep-gates ci
+.PHONY: build fmt-check vet test bench-test race race-workers fuzz-smoke bench-smoke bench bench-compare checkpoint-resume distributed-sweep remote-sweep serve-smoke sweep-gates experiments-doc experiments-doc-update ci
 
 build:
 	$(GO) build ./...
@@ -68,6 +68,17 @@ serve-smoke:
 
 # Every end-to-end sweep and service gate CI runs as a script.
 sweep-gates: checkpoint-resume distributed-sweep remote-sweep serve-smoke
+
+# EXPERIMENTS.md drift check: regenerates every figure at the paper's
+# protocol (seed 1, 10,000 samples; about 25 s on 2 CPUs), checks every
+# Summary predicate and fails when any generated block differs from the
+# document. Not part of `ci`: it is its own CI job.
+experiments-doc:
+	$(GO) test -tags experiments -run TestExperimentsDoc -count=1 -timeout 20m ./internal/experiments
+
+# Rewrites the generated blocks of EXPERIMENTS.md in place.
+experiments-doc-update:
+	$(GO) test -tags experiments -run TestExperimentsDoc -count=1 -timeout 20m ./internal/experiments -update
 
 # A fast allocation-regression check: the Publish and router-tick
 # micro-benchmarks must report 0 allocs/op (also pinned by the

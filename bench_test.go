@@ -38,24 +38,6 @@ func benchRun(b *testing.B, cfg Config) *Result {
 	return last
 }
 
-// --- Section 3.3 walkthrough ---
-
-// BenchmarkWalkthroughFlitEnergy evaluates the per-flit energy composition
-// E_flit = E_wrt + E_arb + E_read + E_xb + E_link for the walkthrough
-// router (5 ports, 4-flit buffers, 32-bit flits, 5×5 crossbar, 4:1
-// arbiters).
-func BenchmarkWalkthroughFlitEnergy(b *testing.B) {
-	var rep *EnergyReport
-	for i := 0; i < b.N; i++ {
-		var err error
-		rep, err = Walkthrough()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rep.FlitEnergyJ*1e12, "Eflit-pJ")
-}
-
 // --- Figure 5: on-chip wormhole vs virtual-channel (latency 5a, power 5b) ---
 
 func benchFig5(b *testing.B, r RouterConfig, rate float64) {

@@ -2,10 +2,10 @@ package orion
 
 import (
 	"fmt"
-	"strings"
 
 	"orion/internal/power"
 	"orion/internal/router"
+	"orion/internal/stats"
 )
 
 // EnergyReport lists the per-operation energies of one router's
@@ -138,19 +138,5 @@ func HeatmapString(res *Result, width, height int) (string, error) {
 	if res == nil {
 		return "", fmt.Errorf("orion: nil result")
 	}
-	if width*height != len(res.NodePowerW) {
-		return "", fmt.Errorf("orion: %d node powers do not fill a %d×%d grid",
-			len(res.NodePowerW), width, height)
-	}
-	var b strings.Builder
-	for y := height - 1; y >= 0; y-- {
-		for x := 0; x < width; x++ {
-			if x > 0 {
-				b.WriteByte('\t')
-			}
-			fmt.Fprintf(&b, "%.4g", res.NodePowerW[y*width+x])
-		}
-		b.WriteByte('\n')
-	}
-	return b.String(), nil
+	return stats.Heatmap(res.NodePowerW, width, height, "%.4g")
 }

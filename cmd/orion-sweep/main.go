@@ -112,8 +112,8 @@ func parseFlags() (cfg orion.Config, rates []float64, bopts remote.Options, err 
 		err = fmt.Errorf("-distributed: must not be negative, got %d", *distributed)
 	case *workerMode && *distributed > 0:
 		err = errors.New("-worker and -distributed are mutually exclusive")
-	case (*workerMode || *distributed > 0 || *statusMode) && *journalPath == "":
-		err = errors.New("-worker, -distributed and -status require -journal")
+	case (*workerMode || *distributed > 0 || *statusMode || *resumeJrnl) && *journalPath == "":
+		err = errors.New("-worker, -distributed, -status and -resume require -journal")
 	}
 	if err == nil {
 		bopts, err = backends.Options()
@@ -241,7 +241,7 @@ func run() (status int) {
 	} else {
 		opts := orion.SweepJournalOptions{
 			Path:   *journalPath,
-			Resume: *resumeJrnl && *journalPath != "",
+			Resume: *resumeJrnl,
 			Lease:  *leaseDur,
 			Run:    runner,
 		}

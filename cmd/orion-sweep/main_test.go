@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"flag"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -33,5 +34,19 @@ func TestBackendsWithoutJournalWritesNoFile(t *testing.T) {
 	}
 	if _, err := os.Stat(tmp); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("TMPDIR %s was created (stat: %v)", tmp, err)
+	}
+}
+
+// TestResumeRequiresJournal: -resume without -journal has nothing to
+// resume from, so it is a usage error (exit 2), not a fresh sweep.
+func TestResumeRequiresJournal(t *testing.T) {
+	args := os.Args
+	defer func() {
+		os.Args = args
+		flag.Set("resume", "false")
+	}()
+	os.Args = []string{"orion-sweep", "-preset", "vc16", "-samples", "100", "-rates", "0.02", "-resume"}
+	if status := run(); status != 2 {
+		t.Fatalf("orion-sweep -resume without -journal exited %d, want 2", status)
 	}
 }

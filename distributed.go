@@ -153,14 +153,11 @@ func claimLoop(ctx context.Context, qf *queue.File, cfg Config, rates []float64,
 	if lease <= 0 {
 		lease = 5 * time.Second
 	}
+	// A short poll lets a waiting loop follow other processes' commits
+	// closely; Load reads only what was appended, so polling is cheap.
 	poll := opts.poll
 	if poll <= 0 {
-		poll = lease / 5
-		if slots == 0 {
-			// A loop that runs nothing only watches for the last commit;
-			// a short poll lets its merge follow that commit closely.
-			poll = min(poll, 100*time.Millisecond)
-		}
+		poll = min(lease/5, 100*time.Millisecond)
 	}
 	if poll < time.Millisecond {
 		poll = time.Millisecond

@@ -19,12 +19,11 @@ import (
 )
 
 func main() {
-	opt := orion.ExperimentOptions{SamplePackets: 4000, Seed: 3}
 	rates := []float64{0.02, 0.04, 0.06, 0.08, 0.10, 0.12}
-
-	curves, err := orion.Figure7(opt, rates, false)
-	if err != nil {
-		log.Fatal(err)
+	config := func(r orion.RouterConfig, rate float64) orion.Config {
+		cfg := orion.ChipToChip4x4(r, rate)
+		cfg.Sim.SamplePackets, cfg.Traffic.Seed = 4000, 3
+		return cfg
 	}
 
 	fmt.Println("chip-to-chip 4x4 torus, 32-bit flits, 1 GHz, 3 W links, uniform random")
@@ -33,40 +32,42 @@ func main() {
 		fmt.Printf(" %14.2f", r)
 	}
 	fmt.Println()
-	for _, c := range curves {
-		fmt.Printf("%-4s", c.Label)
-		for _, pt := range c.Points {
-			if pt.Failed {
+	routerW := map[string]float64{}
+	for _, e := range []struct {
+		name   string
+		router orion.RouterConfig
+	}{{"XB", orion.XB()}, {"CB", orion.CB()}} {
+		// A rate driven too far past saturation to finish comes back nil
+		// and counts as a saturation witness, not an error.
+		satRate, saturated, results, err := orion.SaturationThroughput(config(e.router, 0), rates)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("%-4s", e.name)
+		for _, res := range results {
+			if res == nil {
 				fmt.Printf(" %14s", "--")
 				continue
 			}
-			fmt.Printf(" %6.0fc/%6.2fW", pt.Latency, pt.PowerW)
+			fmt.Printf(" %6.0fc/%6.2fW", res.AvgLatency, res.TotalPowerW)
 		}
-		if c.Saturated {
-			fmt.Printf("   saturates at %.2f", c.SaturationRate)
+		if saturated {
+			fmt.Printf("   saturates at %.2f", satRate)
 		}
 		fmt.Println()
-	}
 
-	xb, cb, err := orion.Figure7Breakdowns(opt, 0.06)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("\ncomponent breakdown at rate 0.06:")
-	for _, e := range []struct {
-		name string
-		res  *orion.Result
-	}{{"XB", xb}, {"CB", cb}} {
-		b := e.res.Breakdown
-		t := e.res.TotalPowerW
-		fmt.Printf("  %-3s total %7.2f W: links %5.1f%%, input buffers %5.2f%%, central buffer %5.2f%%, crossbar %5.2f%%\n",
-			e.name, t, 100*b.LinkW/t, 100*b.BufferW/t, 100*b.CentralBufferW/t, 100*b.CrossbarW/t)
+		res, err := orion.Run(config(e.router, 0.06))
+		if err != nil {
+			log.Fatal(err)
+		}
+		b, t := res.Breakdown, res.TotalPowerW
+		fmt.Printf("     at 0.06: total %7.2f W: links %5.1f%%, input buffers %5.2f%%, central buffer %5.2f%%, crossbar %5.2f%%\n",
+			t, 100*b.LinkW/t, 100*b.BufferW/t, 100*b.CentralBufferW/t, 100*b.CrossbarW/t)
+		routerW[e.name] = t - b.LinkW
 	}
 
 	// Router-only power (links excluded) isolates the paper's
 	// "central buffer consumes much more energy than a crossbar" claim.
-	xbRouter := xb.TotalPowerW - xb.Breakdown.LinkW
-	cbRouter := cb.TotalPowerW - cb.Breakdown.LinkW
 	fmt.Printf("\nrouter-only power: XB %.3f W vs CB %.3f W (%.1f× higher for CB)\n",
-		xbRouter, cbRouter, cbRouter/xbRouter)
+		routerW["XB"], routerW["CB"], routerW["CB"]/routerW["XB"])
 }

@@ -21,45 +21,38 @@ import (
 
 func main() {
 	rates := []float64{0.04, 0.08, 0.10, 0.12, 0.14, 0.16, 0.18}
-	opt := orion.ExperimentOptions{SamplePackets: 4000, Seed: 7}
-
-	curves, err := orion.Figure5(opt, rates)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	fmt.Println("on-chip 4x4 torus, 256-bit flits, 2 GHz, uniform random traffic")
 	fmt.Printf("%-7s", "rate")
 	for _, r := range rates {
 		fmt.Printf("  %12.2f", r)
 	}
-	fmt.Println()
-	for _, c := range curves {
+	fmt.Println("  zero-load  saturation")
+	for _, c := range orion.Fig5Configs() {
+		cfg := orion.OnChip4x4(c.Router, 0)
+		cfg.Sim.SamplePackets, cfg.Traffic.Seed = 4000, 7
+		zeroLoad, err := orion.ZeroLoadLatency(cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		// A rate driven too far past saturation to finish comes back nil
+		// and counts as a saturation witness, not an error.
+		satRate, saturated, results, err := orion.SaturationThroughput(cfg, rates)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%-7s", c.Label)
-		for _, pt := range c.Points {
-			if pt.Failed {
+		for _, res := range results {
+			if res == nil {
 				fmt.Printf("  %12s", "--")
 				continue
 			}
-			fmt.Printf("  %6.0fc/%4.1fW", pt.Latency, pt.PowerW)
+			fmt.Printf("  %6.0fc/%4.1fW", res.AvgLatency, res.TotalPowerW)
 		}
-		fmt.Println()
-	}
-
-	fmt.Println()
-	for _, c := range curves {
-		sat := "not reached"
-		if c.Saturated {
-			sat = fmt.Sprintf("%.2f pkts/cycle/node", c.SaturationRate)
+		sat := "none"
+		if saturated {
+			sat = fmt.Sprintf("%.2f", satRate)
 		}
-		// Power at the last common pre-saturation rate (0.10).
-		var p10 float64
-		for _, pt := range c.Points {
-			if pt.Rate == 0.10 && !pt.Failed {
-				p10 = pt.PowerW
-			}
-		}
-		fmt.Printf("%-7s zero-load %5.1f cycles | saturation %-22s | power @0.10: %5.2f W\n",
-			c.Label, c.ZeroLoad, sat, p10)
+		fmt.Printf("  %7.1fc  %s\n", zeroLoad, sat)
 	}
 }

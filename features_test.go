@@ -263,136 +263,7 @@ func TestLinkDVSValidation(t *testing.T) {
 	}
 }
 
-// TestFigure5Smoke runs the Figure 5 pipeline at tiny scale.
-func TestFigure5Smoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-figure smoke test")
-	}
-	opt := ExperimentOptions{SamplePackets: 300, Seed: 2}
-	curves, err := Figure5(opt, []float64{0.04, 0.10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(curves) != 4 {
-		t.Fatalf("got %d curves", len(curves))
-	}
-	labels := []string{"WH64", "VC16", "VC64", "VC128"}
-	for i, c := range curves {
-		if c.Label != labels[i] {
-			t.Errorf("curve %d label = %q", i, c.Label)
-		}
-		if len(c.Points) != 2 {
-			t.Fatalf("%s has %d points", c.Label, len(c.Points))
-		}
-		if c.ZeroLoad <= 0 {
-			t.Errorf("%s zero-load missing", c.Label)
-		}
-		for _, pt := range c.Points {
-			if pt.Failed || pt.Latency <= 0 || pt.PowerW <= 0 {
-				t.Errorf("%s point %+v incomplete", c.Label, pt)
-			}
-		}
-		// Power grows with rate.
-		if c.Points[1].PowerW <= c.Points[0].PowerW {
-			t.Errorf("%s power should grow with rate", c.Label)
-		}
-	}
-	// VC16 power below WH64 at equal rates (the Figure 5(b) claim).
-	if curves[1].Points[1].PowerW >= curves[0].Points[1].PowerW {
-		t.Errorf("VC16 power %.2f should undercut WH64 %.2f at 0.10",
-			curves[1].Points[1].PowerW, curves[0].Points[1].PowerW)
-	}
-}
-
-func TestFigure6Smoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-figure smoke test")
-	}
-	// The total network rate is only 0.2 pkt/cycle, so per-node power
-	// needs a reasonable sample to settle.
-	opt := ExperimentOptions{SamplePackets: 2000, Seed: 2}
-	uniform, broadcast, err := Figure6(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Uniform: flat map.
-	lo, hi := uniform.NodePowerW[0], uniform.NodePowerW[0]
-	for _, w := range uniform.NodePowerW {
-		lo, hi = math.Min(lo, w), math.Max(hi, w)
-	}
-	if hi/lo > 1.6 {
-		t.Errorf("uniform map max/min = %.2f, want flat", hi/lo)
-	}
-	// Broadcast: source hottest; same-x columns (excluding source column)
-	// near-identical (Section 4.3's routing observation).
-	src := BroadcastNode12
-	for n, w := range broadcast.NodePowerW {
-		if n != src && w >= broadcast.NodePowerW[src] {
-			t.Errorf("node %d (%.3g W) hotter than source (%.3g W)", n, w, broadcast.NodePowerW[src])
-		}
-	}
-	for x := 0; x < 4; x++ {
-		if x == 1 {
-			continue // the source's column varies by design
-		}
-		base := broadcast.NodePowerW[x] // y = 0
-		for y := 1; y < 4; y++ {
-			w := broadcast.NodePowerW[y*4+x]
-			if base > 0 && math.Abs(w-base)/base > 0.25 {
-				t.Errorf("column x=%d not uniform: %.3g vs %.3g", x, w, base)
-			}
-		}
-	}
-}
-
-func TestFigure7Smoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-figure smoke test")
-	}
-	opt := ExperimentOptions{SamplePackets: 400, Seed: 2}
-	curves, err := Figure7(opt, []float64{0.04, 0.10}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(curves) != 2 || curves[0].Label != "XB" || curves[1].Label != "CB" {
-		t.Fatalf("unexpected curves %+v", curves)
-	}
-	// Figure 7(a): CB slower at 0.10; 7(b): CB costs more power.
-	xb, cb := curves[0].Points[1], curves[1].Points[1]
-	if !cb.Failed && !xb.Failed {
-		if cb.Latency <= xb.Latency {
-			t.Errorf("CB latency %.1f should exceed XB %.1f at 0.10", cb.Latency, xb.Latency)
-		}
-		if cb.PowerW <= xb.PowerW {
-			t.Errorf("CB power %.1f should exceed XB %.1f", cb.PowerW, xb.PowerW)
-		}
-	}
-
-	xbRes, cbRes, err := Figure7Breakdowns(opt, 0.04)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Links dominate chip-to-chip power (Figure 7(c)).
-	if xbRes.Breakdown.LinkW < 0.7*xbRes.TotalPowerW {
-		t.Error("XB links should exceed 70% of power")
-	}
-	// The central buffer dominates CB's router share (Figure 7(f)).
-	routerOnly := cbRes.TotalPowerW - cbRes.Breakdown.LinkW
-	if cbRes.Breakdown.CentralBufferW < 0.5*routerOnly {
-		t.Errorf("central buffer %.3g W should dominate router share %.3g W",
-			cbRes.Breakdown.CentralBufferW, routerOnly)
-	}
-}
-
 func TestFigRatesAndConfigs(t *testing.T) {
-	if len(Fig5Rates()) == 0 || len(Fig7Rates()) == 0 {
-		t.Error("default rate lists empty")
-	}
-	for i, r := range Fig5Rates() {
-		if i > 0 && r <= Fig5Rates()[i-1] {
-			t.Error("Fig5 rates must increase")
-		}
-	}
 	if got := len(Fig5Configs()); got != 4 {
 		t.Errorf("Fig5Configs returned %d entries", got)
 	}
@@ -450,18 +321,6 @@ func TestEventCounts(t *testing.T) {
 	}
 	if cbRes.Events.CrossbarTraversals != 0 {
 		t.Error("CB network should record no crossbar traversals")
-	}
-}
-
-func TestWalkthroughReport(t *testing.T) {
-	rep, err := Walkthrough()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The walkthrough router has 4-flit, 32-bit buffers — everything in
-	// the low-pJ range for 0.1 µm at 1.2 V.
-	if rep.FlitEnergyJ < 1e-12 || rep.FlitEnergyJ > 1e-9 {
-		t.Errorf("E_flit = %g J, outside plausible range", rep.FlitEnergyJ)
 	}
 }
 
@@ -613,39 +472,6 @@ func Test3DValidation(t *testing.T) {
 	b.Traffic.Rate = 0.1
 	if _, err := Run(b); err != nil {
 		t.Errorf("3-D broadcast failed: %v", err)
-	}
-}
-
-func TestExperimentOptionsApply(t *testing.T) {
-	cfg := OnChip4x4(VC16(), 0.1)
-	ExperimentOptions{SamplePackets: 123, MaxCycles: 456, Seed: 7}.Apply(&cfg)
-	if cfg.Sim.SamplePackets != 123 || cfg.Sim.MaxCycles != 456 || cfg.Traffic.Seed != 7 {
-		t.Errorf("Apply did not fold options: %+v", cfg.Sim)
-	}
-	// Zero options leave the config untouched.
-	before := cfg
-	ExperimentOptions{}.Apply(&cfg)
-	if cfg.Sim.SamplePackets != before.Sim.SamplePackets || cfg.Traffic.Seed != 0 {
-		t.Error("zero options should only reset the seed")
-	}
-}
-
-func TestFigure5BreakdownShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("figure smoke test")
-	}
-	res, err := Figure5Breakdown(ExperimentOptions{SamplePackets: 600, Seed: 3}, 0.08)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := res.TotalPowerW
-	// Figure 5(c) shape: router datapath dominates, arbiter < 2%.
-	if res.Breakdown.BufferW+res.Breakdown.CrossbarW < 0.7*total {
-		t.Errorf("buffer+crossbar = %.1f%% of total, want dominant",
-			100*(res.Breakdown.BufferW+res.Breakdown.CrossbarW)/total)
-	}
-	if res.Breakdown.ArbiterW > 0.02*total {
-		t.Errorf("arbiter share %.2f%% too large", 100*res.Breakdown.ArbiterW/total)
 	}
 }
 

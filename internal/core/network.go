@@ -519,11 +519,6 @@ func (n *Network) Snapshot() (sourceQueues, buffered []int) {
 // Cycle returns the engine's current cycle.
 func (n *Network) Cycle() int64 { return n.engine.Cycle() }
 
-// SampleStatus reports sample-packet progress, for diagnostics.
-func (n *Network) SampleStatus() (injected, received int) {
-	return n.sampleInjected, n.sampleReceived
-}
-
 // Step advances the simulation one cycle outside the standard protocol
 // (testing hook). sample tags new packets as measurement samples.
 func (n *Network) Step(sample bool) error { return n.tick(sample) }

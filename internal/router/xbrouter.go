@@ -775,30 +775,6 @@ func packetLength(f *flit.Flit) int {
 	return 1
 }
 
-// DumpState renders the router's internal state for diagnostics.
-func (r *XBRouter) DumpState() string {
-	s := fmt.Sprintf("router %d:\n", r.node)
-	for p := range r.in {
-		for v := range r.in[p] {
-			ivc := &r.in[p][v]
-			if ivc.q.len() == 0 && ivc.state == vcIdle {
-				continue
-			}
-			f, _ := ivc.q.front()
-			s += fmt.Sprintf("  in[%d][%d]: len=%d state=%d out=%d/%d pend=%v front=%v\n",
-				p, v, ivc.q.len(), ivc.state, ivc.outPort, ivc.outVC, ivc.pendingST, f)
-		}
-	}
-	for p := range r.out {
-		for v := range r.out[p] {
-			ovc := &r.out[p][v]
-			s += fmt.Sprintf("  out[%d][%d]: free=%v credits=%d owner=%d/%d\n",
-				p, v, ovc.free, ovc.credits, ovc.ownerPort, ovc.ownerVC)
-		}
-	}
-	return s
-}
-
 // headClass returns the dateline VC class required by a head flit at this
 // router, or -1 when unrestricted. Classes apply only in dateline mode;
 // bubble flow control leaves VC choice free.

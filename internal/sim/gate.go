@@ -95,9 +95,6 @@ func (g *Gate) Wake() {
 // returns nil and every module ticks every cycle.
 func (e *Engine) EnableGating() { e.gating = true }
 
-// Gating reports whether activity gating is enabled.
-func (e *Engine) Gating() bool { return e.gating }
-
 // NewGate allocates a gate for the given module, initially awake. Returns
 // nil on an ungated engine, which every consumer of a Gate tolerates.
 func (e *Engine) NewGate(q Gated) *Gate {

@@ -170,21 +170,17 @@ func (m *Meter) freeze() *frozenTables {
 	return f
 }
 
-// Attach subscribes the meter's fast path to the bus: registration maps are
-// frozen into dense tables and one handler per event type is registered, so
-// e.g. a link power model is never invoked for arbitration events. Call
-// after all components are registered; later Register* calls are not seen
-// by the frozen path. AttachReference is the equivalent map-based hookup.
-func (m *Meter) Attach(bus *sim.Bus) {
-	m.attachFrozen(bus, m.freeze())
-}
-
-// AttachBuses attaches the fast path to several buses (a parallel
-// network's per-shard buses) sharing one set of frozen tables, so the
-// dense-table allocation is paid once per network rather than once per
-// bus. The tables are read-only after freeze; the mutable per-component
-// power states they point to are only ever touched by their own node's
-// shard bus, so sharing the tables adds no cross-worker contention.
+// AttachBuses subscribes the meter's fast path to the buses (a parallel
+// network's per-shard buses, or a single one): registration maps are
+// frozen into dense tables and one handler per event type is registered,
+// so e.g. a link power model is never invoked for arbitration events.
+// Call after all components are registered; later Register* calls are not
+// seen by the frozen path. AttachReference is the equivalent map-based
+// hookup. The buses share one set of frozen tables, so the dense-table
+// allocation is paid once per network rather than once per bus. The
+// tables are read-only after freeze; the mutable per-component power
+// states they point to are only ever touched by their own node's shard
+// bus, so sharing the tables adds no cross-worker contention.
 func (m *Meter) AttachBuses(buses ...*sim.Bus) {
 	f := m.freeze()
 	for _, bus := range buses {
@@ -328,7 +324,7 @@ func (m *Meter) attachFrozen(bus *sim.Bus, f *frozenTables) {
 }
 
 // AttachReference subscribes the map-based reference listener to the bus.
-// It is observably identical to Attach (the golden tests assert so) but
+// It is observably identical to AttachBuses (the golden tests assert so) but
 // pays a map lookup and a full type switch per event; it exists as the
 // oracle the fast path is validated against.
 func (m *Meter) AttachReference(bus *sim.Bus) {

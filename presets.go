@@ -49,6 +49,18 @@ func CB() RouterConfig {
 	}
 }
 
+// Fig5Configs returns the four router configurations of Section 4.2 in
+// presentation order.
+func Fig5Configs() []struct {
+	Label  string
+	Router RouterConfig
+} {
+	return []struct {
+		Label  string
+		Router RouterConfig
+	}{{"WH64", WH64()}, {"VC16", VC16()}, {"VC64", VC64()}, {"VC128", VC128()}}
+}
+
 // VC8 is a light virtual-channel router for large-fabric scaling studies:
 // 2 VCs per port with 8-flit buffers and 64-bit flits. It keeps the
 // per-router tick cheap enough that thousand-node fabrics simulate at
