@@ -9,13 +9,15 @@ import (
 // Figure-5 VC64 configuration (build + warm-up + 2000-sample measurement).
 // The packet free list recycles a retired packet's record, flit structs
 // and payload backing into the next generation, which cut a full run from
-// ~32,700 allocations / 3.7 MB to ~18,700 / 1.6 MB; the budgets below sit
-// ~30% above the measured cost so incidental churn passes but a
-// reintroduced per-packet or per-cycle allocation path fails loudly.
+// ~32,700 allocations / 3.7 MB to ~18,700 / 1.6 MB. Building each power
+// model once per network instead of once per arbiter cut it to ~18,050 /
+// 1.42 MB. The budgets below sit ~30% above the measured cost so
+// incidental churn passes but a reintroduced per-packet or per-cycle
+// allocation path fails loudly.
 func TestRunAllocationBudget(t *testing.T) {
 	const (
-		maxAllocs = 25_000
-		maxBytes  = 2_200_000
+		maxAllocs = 23_500
+		maxBytes  = 1_850_000
 	)
 	cfg := OnChip4x4(VC64(), 0.10)
 	cfg.Sim.SamplePackets = benchSamples

@@ -3,8 +3,8 @@ package orion
 import (
 	"fmt"
 
+	"orion/internal/core"
 	"orion/internal/power"
-	"orion/internal/router"
 	"orion/internal/stats"
 )
 
@@ -26,7 +26,9 @@ type EnergyReport struct {
 	CrossbarTraversalAvgJ float64
 	CrossbarCtrlJ         float64
 
-	// Arbiter energies (Table 4) for one output-port arbiter.
+	// Arbiter energies (Table 4) for one switch-allocator arbiter: an
+	// output port's on crossbar routers, a fabric port's on
+	// central-buffered routers.
 	ArbiterGrantJ      float64
 	ArbiterRequestAvgJ float64
 
@@ -50,84 +52,43 @@ type EnergyReport struct {
 }
 
 // ComponentEnergies derives the energy report for the configuration's
-// router without running a simulation.
+// router without running a simulation. It reads the same power-model
+// table a simulation of cfg charges its events to.
 func ComponentEnergies(cfg Config) (*EnergyReport, error) {
 	ccfg, err := resolve(cfg)
 	if err != nil {
 		return nil, err
 	}
-	t := ccfg.Tech
-	rep := &EnergyReport{}
-
-	buf, err := power.NewBuffer(power.BufferConfig{
-		Flits:      ccfg.Router.BufferDepth,
-		FlitBits:   ccfg.Router.FlitBits,
-		ReadPorts:  1,
-		WritePorts: 1,
-	}, t)
+	m, err := core.NewPowerModels(ccfg.Router, ccfg.Link, ccfg.Tech, ccfg.ArbiterKind, ccfg.CrossbarKind)
 	if err != nil {
 		return nil, err
 	}
-	rep.BufferReadJ = buf.ReadEnergy()
-	rep.BufferWriteAvgJ = buf.AvgWriteEnergy()
-	rep.BufferWriteMaxJ = buf.MaxWriteEnergy()
-
-	arb, err := power.NewArbiter(power.ArbiterConfig{
-		Kind:       ccfg.ArbiterKind,
-		Requesters: ccfg.Router.Ports - 1,
-	}, t)
-	if err != nil {
-		return nil, err
+	rep := &EnergyReport{
+		BufferReadJ:        m.Buffer.ReadEnergy(),
+		BufferWriteAvgJ:    m.Buffer.AvgWriteEnergy(),
+		BufferWriteMaxJ:    m.Buffer.MaxWriteEnergy(),
+		ArbiterGrantJ:      m.Arbiter.GrantEnergy(),
+		ArbiterRequestAvgJ: m.Arbiter.RequestEnergy(m.Arbiter.Config.Requesters / 2),
+		LinkTraversalAvgJ:  m.Link.AvgTraversalEnergy(),
+		LinkConstantW:      m.Link.ConstantPower(),
 	}
-	rep.ArbiterGrantJ = arb.GrantEnergy()
-	rep.ArbiterRequestAvgJ = arb.RequestEnergy((ccfg.Router.Ports - 1) / 2)
 
-	lnk, err := power.NewLink(ccfg.Link, t)
-	if err != nil {
-		return nil, err
+	if cb := m.CentralBuffer; cb != nil {
+		rep.CentralBufReadJ = cb.AvgReadEnergy()
+		rep.CentralBufWriteJ = cb.AvgWriteEnergy()
+		rep.RouterAreaUm2 = power.CBRouterAreaUm2(ccfg.Router.Ports, m.Buffer, cb)
+	} else {
+		rep.CrossbarTraversalAvgJ = m.Crossbar.AvgTraversalEnergy()
+		rep.CrossbarCtrlJ = m.Crossbar.CtrlEnergy()
+		rep.RouterAreaUm2 = power.XBRouterAreaUm2(ccfg.Router.Ports, ccfg.Router.VCs, m.Buffer, m.Crossbar)
 	}
-	rep.LinkTraversalAvgJ = lnk.AvgTraversalEnergy()
-	rep.LinkConstantW = lnk.ConstantPower()
-
-	switch ccfg.Router.Kind {
-	case router.CentralBuffered:
-		cb, err := power.NewCentralBuffer(power.CentralBufferConfig{
-			Banks:      ccfg.Router.CBBanks,
-			Rows:       ccfg.Router.CBRows,
-			FlitBits:   ccfg.Router.FlitBits,
-			ReadPorts:  ccfg.Router.CBReadPorts,
-			WritePorts: ccfg.Router.CBWritePorts,
-		}, t)
-		if err != nil {
-			return nil, err
-		}
-		f := ccfg.Router.FlitBits
-		rep.CentralBufReadJ = cb.Bank.ReadEnergy() + cb.OutXbar.AvgTraversalEnergy() +
-			cb.Regs.LatchEnergy(f, f/2)
-		rep.CentralBufWriteJ = cb.Bank.WriteEnergy(f/2, f/2) + cb.InXbar.AvgTraversalEnergy() +
-			cb.Regs.LatchEnergy(f, f/2)
-		rep.RouterAreaUm2 = power.CBRouterAreaUm2(ccfg.Router.Ports, buf, cb)
-		rep.FlitEnergyJ = rep.BufferWriteAvgJ + rep.ArbiterGrantJ + rep.ArbiterRequestAvgJ +
-			rep.BufferReadJ + rep.CentralBufWriteJ + rep.CentralBufReadJ + rep.LinkTraversalAvgJ
-
-	default:
-		xb, err := power.NewCrossbar(power.CrossbarConfig{
-			Kind:      ccfg.CrossbarKind,
-			Inputs:    ccfg.Router.Ports,
-			Outputs:   ccfg.Router.Ports,
-			WidthBits: ccfg.Router.FlitBits,
-		}, t)
-		if err != nil {
-			return nil, err
-		}
-		rep.CrossbarTraversalAvgJ = xb.AvgTraversalEnergy()
-		rep.CrossbarCtrlJ = xb.CtrlEnergy()
-		rep.RouterAreaUm2 = power.XBRouterAreaUm2(ccfg.Router.Ports, ccfg.Router.VCs, buf, xb)
-		// E_flit = E_wrt + E_arb + E_read + E_xb + E_link (Section 3.3).
-		rep.FlitEnergyJ = rep.BufferWriteAvgJ +
-			(rep.ArbiterGrantJ + rep.ArbiterRequestAvgJ + rep.CrossbarCtrlJ) +
-			rep.BufferReadJ + rep.CrossbarTraversalAvgJ + rep.LinkTraversalAvgJ
-	}
+	// E_flit = E_wrt + E_arb + E_read + E_xb + E_link (Section 3.3); on a
+	// central-buffered router the central buffer write and read take the
+	// crossbar's place.
+	rep.FlitEnergyJ = rep.BufferWriteAvgJ +
+		(rep.ArbiterGrantJ + rep.ArbiterRequestAvgJ + rep.CrossbarCtrlJ) +
+		rep.BufferReadJ + rep.CrossbarTraversalAvgJ + rep.CentralBufWriteJ + rep.CentralBufReadJ +
+		rep.LinkTraversalAvgJ
 	return rep, nil
 }
 

@@ -64,29 +64,37 @@ import (
 	"orion/internal/remote"
 )
 
-var (
-	cf       = cliconfig.Bind(flag.CommandLine, cliconfig.Sweep)
-	backends = cliconfig.BindBackends(flag.CommandLine)
+// options holds one parse of the command line.
+type options struct {
+	cf                                          *cliconfig.Flags
+	backends                                    *cliconfig.Backends
+	rates, csv, cpuProfile, memProfile, journal string
+	resume, worker, status                      bool
+	retries, distributed                        int
+	lease                                       time.Duration
+}
 
-	ratesIn = flag.String("rates", "0.02,0.04,0.06,0.08,0.10,0.12,0.14,0.16,0.18,0.20",
+// bindFlags declares every orion-sweep flag on fs.
+func bindFlags(fs *flag.FlagSet) *options {
+	o := &options{cf: cliconfig.Bind(fs, cliconfig.Sweep), backends: cliconfig.BindBackends(fs)}
+	fs.StringVar(&o.rates, "rates", "0.02,0.04,0.06,0.08,0.10,0.12,0.14,0.16,0.18,0.20",
 		"comma-separated injection rates")
-	csvOut     = flag.String("csv", "", "also write the curve to a CSV file for plotting")
-	cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile = flag.String("memprofile", "", "write a heap profile to this file")
-
-	journalPath = flag.String("journal", "", "write-ahead sweep journal (work-queue JSON lines), fsynced per claim and per completed point")
-	resumeJrnl  = flag.Bool("resume", false, "resume from an existing -journal, skipping completed points")
-	retries     = flag.Int("retries", 1, "retries per transiently-failed point (panic or point timeout only)")
-
-	distributed = flag.Int("distributed", 0,
+	fs.StringVar(&o.csv, "csv", "", "also write the curve to a CSV file for plotting")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file")
+	fs.StringVar(&o.journal, "journal", "", "write-ahead sweep journal (work-queue JSON lines), fsynced per claim and per completed point")
+	fs.BoolVar(&o.resume, "resume", false, "resume from an existing -journal, skipping completed points")
+	fs.IntVar(&o.retries, "retries", 1, "retries per transiently-failed point (panic or point timeout only)")
+	fs.IntVar(&o.distributed, "distributed", 0,
 		"run N worker subprocesses against the shared -journal work queue and merge their results")
-	workerMode = flag.Bool("worker", false,
+	fs.BoolVar(&o.worker, "worker", false,
 		"join the -journal work queue as one worker (spawned by -distributed, or by hand on a shared filesystem)")
-	statusMode = flag.Bool("status", false,
+	fs.BoolVar(&o.status, "status", false,
 		"print per-point state of the -journal sweep (done/failed/claimed/pending) and exit")
-	leaseDur = flag.Duration("lease", 5*time.Second,
+	fs.DurationVar(&o.lease, "lease", 5*time.Second,
 		"work-queue claim lease: a worker silent this long is presumed dead and its points are stolen")
-)
+	return o
+}
 
 func fail(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "orion-sweep: "+format+"\n", args...)
@@ -94,55 +102,63 @@ func fail(format string, args ...any) {
 }
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
 // parseFlags validates every flag before any journal is touched or
 // process spawned, so a bad flag fails fast with the flag or Config
 // field named. It returns the sweep configuration, its rates and the
 // backend pool options (no backends when -backends is not given).
-func parseFlags() (cfg orion.Config, rates []float64, bopts remote.Options, err error) {
+func parseFlags(o *options) (cfg orion.Config, rates []float64, bopts remote.Options, err error) {
 	switch {
-	case *leaseDur <= 0:
+	case o.lease <= 0:
 		// A zero lease would make every claim instantly stealable.
-		err = fmt.Errorf("-lease: must be positive, got %v", *leaseDur)
-	case *retries < 0:
-		err = fmt.Errorf("-retries: must not be negative, got %d", *retries)
-	case *distributed < 0:
-		err = fmt.Errorf("-distributed: must not be negative, got %d", *distributed)
-	case *workerMode && *distributed > 0:
+		err = fmt.Errorf("-lease: must be positive, got %v", o.lease)
+	case o.retries < 0:
+		err = fmt.Errorf("-retries: must not be negative, got %d", o.retries)
+	case o.distributed < 0:
+		err = fmt.Errorf("-distributed: must not be negative, got %d", o.distributed)
+	case o.worker && o.distributed > 0:
 		err = errors.New("-worker and -distributed are mutually exclusive")
-	case (*workerMode || *distributed > 0 || *statusMode || *resumeJrnl) && *journalPath == "":
+	case (o.worker || o.distributed > 0 || o.status || o.resume) && o.journal == "":
 		err = errors.New("-worker, -distributed, -status and -resume require -journal")
 	}
 	if err == nil {
-		bopts, err = backends.Options()
+		bopts, err = o.backends.Options()
 	}
 	if err == nil {
-		cfg, err = cf.Config()
+		cfg, err = o.cf.Config()
 	}
 	if err == nil {
-		rates, err = cliconfig.ParseRates(*ratesIn)
+		rates, err = cliconfig.ParseRates(o.rates)
 	}
 	return cfg, rates, bopts, err
 }
 
-// run is main's body, returning the process exit status so deferred
-// cleanup (profile flush, journal close) still happens before os.Exit.
-// Bad flags exit 2; interrupted sweeps exit 128+signal after flushing
-// partial results; -status exits 3 when the journal records failed
-// points and 4 when it records expired leases (and no failures).
-func run() (status int) {
-	flag.Parse()
-	cfg, rates, bopts, err := parseFlags()
+// run is main's body: it parses args (the command line after the program
+// name) into a fresh flag set and returns the process exit status, so
+// deferred cleanup (profile flush, journal close) still happens before
+// os.Exit. Bad flags exit 2; interrupted sweeps exit 128+signal after
+// flushing partial results; -status exits 3 when the journal records
+// failed points and 4 when it records expired leases (and no failures).
+func run(args []string) (status int) {
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	o := bindFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	cfg, rates, bopts, err := parseFlags(o)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "orion-sweep: %v\n", err)
 		return 2
 	}
-	if *statusMode {
-		return printStatus(*journalPath)
+	if o.status {
+		return printStatus(o.journal)
 	}
-	stopProf, err := prof.Start(*cpuProfile, *memProfile)
+	stopProf, err := prof.Start(o.cpuProfile, o.memProfile)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -162,7 +178,7 @@ func run() (status int) {
 	var pool *remote.Pool
 	var runner orion.PointRunner
 	if len(bopts.Backends) > 0 {
-		bopts.Lease = *leaseDur
+		bopts.Lease = o.lease
 		var perr error
 		pool, perr = remote.NewPool(bopts)
 		if perr != nil {
@@ -184,7 +200,7 @@ func run() (status int) {
 	if err != nil {
 		fail("zero-load: %v", err)
 	}
-	if !*workerMode {
+	if !o.worker {
 		fmt.Printf("zero-load latency: %.2f cycles\n", zl)
 	}
 
@@ -207,15 +223,15 @@ func run() (status int) {
 		cancel()
 	}()
 
-	cfg.Sim.PointRetries = *retries
-	if *workerMode {
+	cfg.Sim.PointRetries = o.retries
+	if o.worker {
 		// Worker mode is quiet: no table, no CSV — the coordinator (or
 		// whoever merges the queue) owns the output. The worker claims,
 		// heartbeats, runs and commits points until the queue is drained
 		// or it is told to stop.
 		var stats orion.WorkerStats
 		_, werr := orion.SweepJournaledContext(ctx, cfg, rates, orion.SweepJournalOptions{
-			Path: *journalPath, InFlight: 1, Lease: *leaseDur, Run: runner, Worker: &stats,
+			Path: o.journal, InFlight: 1, Lease: o.lease, Run: runner, Worker: &stats,
 		})
 		fmt.Fprintf(os.Stderr, "orion-sweep: worker %d: %d claims (%d steals), %d commits, %d leases lost, %d backend-down\n",
 			os.Getpid(), stats.Claims, stats.Steals, stats.Commits, stats.LeasesLost, stats.BackendDown)
@@ -236,17 +252,17 @@ func run() (status int) {
 
 	var results []*orion.Result
 	var sweepErr error
-	if *distributed > 0 {
-		results, sweepErr = runCoordinator(ctx, cfg, rates)
+	if o.distributed > 0 {
+		results, sweepErr = runCoordinator(ctx, o, args, cfg, rates)
 	} else {
 		opts := orion.SweepJournalOptions{
-			Path:   *journalPath,
-			Resume: *resumeJrnl,
-			Lease:  *leaseDur,
+			Path:   o.journal,
+			Resume: o.resume,
+			Lease:  o.lease,
 			Run:    runner,
 		}
 		if opts.Resume {
-			reportResume(*journalPath)
+			reportResume(o.journal)
 		}
 		// Points in flight: NumCPU locally; with backends, a couple per
 		// backend keeps the fleet busy without flooding any single
@@ -268,35 +284,25 @@ func run() (status int) {
 		}
 	}
 	fmt.Printf("%8s %12s %14s %12s\n", "rate", "latency", "throughput", "power(W)")
-	sat, satFound := 0.0, false
 	for i, res := range results {
 		if res == nil {
 			fmt.Printf("%8.3f %12s %14s %12s  (%s)\n", rates[i], "--", "--", "--", classify(pointErrs[i]))
-			// An over-saturated point that could not finish marks saturation;
-			// other failures (timeout, deadlock, cancellation) say nothing
-			// about the latency curve.
-			if errors.Is(pointErrs[i], orion.ErrSaturated) && (!satFound || rates[i] < sat) {
-				sat, satFound = rates[i], true
-			}
 			continue
 		}
 		fmt.Printf("%8.3f %12.2f %14.4f %12.4g\n",
 			rates[i], res.AvgLatency, res.AcceptedFlitsPerNodeCycle, res.TotalPowerW)
-		if res.AvgLatency > 2*zl && (!satFound || rates[i] < sat) {
-			sat, satFound = rates[i], true
-		}
 	}
-	if satFound {
+	if sat, satFound, _ := orion.Saturation(rates, results, sweepErr, zl); satFound {
 		fmt.Printf("saturation throughput: %.3f packets/cycle/node (latency > 2x zero-load)\n", sat)
 	} else {
 		fmt.Println("saturation: not reached within the swept rates")
 	}
 
-	if *csvOut != "" {
-		if err := writeCSV(*csvOut, rates, results); err != nil {
+	if o.csv != "" {
+		if err := writeCSV(o.csv, rates, results); err != nil {
 			fail("writing CSV: %v", err)
 		}
-		fmt.Printf("curve written to %s\n", *csvOut)
+		fmt.Printf("curve written to %s\n", o.csv)
 	}
 
 	select {
@@ -318,16 +324,16 @@ func run() (status int) {
 // points. A worker killed mid-point stops heartbeating; its lease
 // expires and a survivor steals and re-runs the point, so the merged
 // curve is byte-identical to a clean single-process sweep.
-func runCoordinator(ctx context.Context, cfg orion.Config, rates []float64) ([]*orion.Result, error) {
-	n := *distributed
-	if *resumeJrnl {
-		reportResume(*journalPath)
+func runCoordinator(ctx context.Context, o *options, argv []string, cfg orion.Config, rates []float64) ([]*orion.Result, error) {
+	n := o.distributed
+	if o.resume {
+		reportResume(o.journal)
 	}
 	exe, err := os.Executable()
 	if err != nil {
 		return nil, fmt.Errorf("locating worker binary: %w", err)
 	}
-	args := workerArgs(os.Args[1:])
+	args := workerArgs(argv)
 
 	// wctx governs the worker fleet: cancelling it SIGTERMs the children
 	// (they drop their claims and exit). waitCtx governs the merge wait:
@@ -375,7 +381,7 @@ func runCoordinator(ctx context.Context, cfg orion.Config, rates []float64) ([]*
 			return
 		}
 		started = true
-		fmt.Printf("distributed: %d workers on %s\n", n, *journalPath)
+		fmt.Printf("distributed: %d workers on %s\n", n, o.journal)
 		go func() {
 			<-wctx.Done()
 			mu.Lock()
@@ -426,10 +432,10 @@ func runCoordinator(ctx context.Context, cfg orion.Config, rates []float64) ([]*
 	}
 
 	results, sweepErr := orion.SweepJournaledContext(waitCtx, cfg, rates, orion.SweepJournalOptions{
-		Path:     *journalPath,
-		Resume:   *resumeJrnl,
+		Path:     o.journal,
+		Resume:   o.resume,
 		InFlight: -1,
-		Lease:    *leaseDur,
+		Lease:    o.lease,
 		Progress: startFleet,
 	})
 	// Workers notice completion themselves on their next queue scan; give

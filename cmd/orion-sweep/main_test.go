@@ -2,7 +2,6 @@ package main
 
 import (
 	"errors"
-	"flag"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -26,10 +25,7 @@ func TestBackendsWithoutJournalWritesNoFile(t *testing.T) {
 
 	tmp := filepath.Join(t.TempDir(), "tmp")
 	t.Setenv("TMPDIR", tmp)
-	args := os.Args
-	defer func() { os.Args = args }()
-	os.Args = []string{"orion-sweep", "-preset", "vc16", "-samples", "200", "-rates", "0.02,0.04", "-backends", ts.URL}
-	if status := run(); status != 0 {
+	if status := run([]string{"-preset", "vc16", "-samples", "200", "-rates", "0.02,0.04", "-backends", ts.URL}); status != 0 {
 		t.Fatalf("orion-sweep exited %d", status)
 	}
 	if _, err := os.Stat(tmp); !errors.Is(err, os.ErrNotExist) {
@@ -40,13 +36,7 @@ func TestBackendsWithoutJournalWritesNoFile(t *testing.T) {
 // TestResumeRequiresJournal: -resume without -journal has nothing to
 // resume from, so it is a usage error (exit 2), not a fresh sweep.
 func TestResumeRequiresJournal(t *testing.T) {
-	args := os.Args
-	defer func() {
-		os.Args = args
-		flag.Set("resume", "false")
-	}()
-	os.Args = []string{"orion-sweep", "-preset", "vc16", "-samples", "100", "-rates", "0.02", "-resume"}
-	if status := run(); status != 2 {
+	if status := run([]string{"-preset", "vc16", "-samples", "100", "-rates", "0.02", "-resume"}); status != 2 {
 		t.Fatalf("orion-sweep -resume without -journal exited %d, want 2", status)
 	}
 }

@@ -24,34 +24,26 @@ import (
 // configuration, because point runs are deterministic and exactly one
 // committed result per point ever takes effect.
 
-// sweepConfigDigest computes the hex digest that binds a journal or
-// queue file to one sweep configuration. The injection rate is
-// normalised to zero — the sweep overrides it per point — so sweeps of
-// the same config at different rate lists share a digest and differ in
-// the header's explicit rate list instead.
-func sweepConfigDigest(cfg Config) (string, error) {
-	normCfg := cfg
-	normCfg.Traffic.Rate = 0
-	digest, err := ConfigDigest(normCfg)
+// SweepConfigDigest is the digest that binds sweep journals and
+// work-queue files to one configuration: the hex ConfigDigest with the
+// injection rate normalised to zero. The sweep overrides the rate per
+// point, so sweeps of the same config at different rate lists share a
+// digest and differ in the header's explicit rate list instead. The
+// serving layer keys its sweep result cache with it so a served sweep
+// and an on-disk journal of the same configuration share an identity.
+func SweepConfigDigest(cfg Config) (string, error) {
+	cfg.Traffic.Rate = 0
+	digest, err := ConfigDigest(cfg)
 	if err != nil {
 		return "", err
 	}
 	return hex.EncodeToString(digest), nil
 }
 
-// SweepConfigDigest is the exported form of the digest that binds sweep
-// journals and work-queue files to one configuration: the hex SHA-256 of
-// the canonical config JSON with the injection rate normalised to zero.
-// The serving layer keys its sweep result cache with it so a served sweep
-// and an on-disk journal of the same configuration share an identity.
-func SweepConfigDigest(cfg Config) (string, error) {
-	return sweepConfigDigest(cfg)
-}
-
 // sweepQueueHeader builds the queue-journal header identifying this
 // sweep.
 func sweepQueueHeader(cfg Config, rates []float64) (queue.Header, error) {
-	d, err := sweepConfigDigest(cfg)
+	d, err := SweepConfigDigest(cfg)
 	if err != nil {
 		return queue.Header{}, err
 	}

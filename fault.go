@@ -157,19 +157,11 @@ func ParseFaultSpec(spec string) ([]Fault, error) {
 		if len(parts) < 3 || len(parts) > 6 {
 			return nil, fmt.Errorf("orion: fault %q: want kind:node:port[:start[:duration[:rate]]]", tok)
 		}
-		var f Fault
-		switch parts[0] {
-		case "link-stall":
-			f.Kind = FaultLinkStall
-		case "link-drop":
-			f.Kind = FaultLinkDrop
-		case "port-stall":
-			f.Kind = FaultPortStall
-		case "bit-flip", "bitflip":
-			f.Kind = FaultBitFlip
-		default:
+		kind, ok := faultKindText.parse[parts[0]]
+		if !ok {
 			return nil, fmt.Errorf("orion: fault %q: unknown kind %q", tok, parts[0])
 		}
+		f := Fault{Kind: kind}
 		fields := []struct {
 			name string
 			dst  *int64

@@ -9,6 +9,7 @@ import (
 	"orion/internal/router"
 	"orion/internal/sim"
 	"orion/internal/stats"
+	"orion/internal/tech"
 	"orion/internal/traffic"
 )
 
@@ -560,61 +561,92 @@ func (n *Network) onDrop(f *flit.Flit, cycle int64) {
 	}
 }
 
-// registerPowerModels builds one power model per physical component and
-// hooks it to the meter, and computes per-node constant link power.
+// PowerModels is one router structure's power models. A network builds
+// it once and registers every node's switching state against it; the
+// standalone calculator (orion.ComponentEnergies) reads the same table,
+// so the two report the same energies. Every model is immutable once its
+// constructor returns, which is what makes sharing it across nodes safe.
+type PowerModels struct {
+	Buffer *power.BufferModel
+	// Crossbar is nil on central-buffered routers; CentralBuffer is nil
+	// on all others.
+	Crossbar      *power.CrossbarModel
+	CentralBuffer *power.CentralBufferModel
+	Link          *power.LinkModel
+	// Arbiter is the switch allocator's arbiter: on a crossbar router
+	// each output's arbiter picks among the other ports-1 inputs, on a
+	// central-buffered router each fabric port's among all ports.
+	Arbiter *power.ArbiterModel
+	// VCArbiter picks among one port's VCs (virtual-channel routers with
+	// more than one VC, nil otherwise). With as many VCs as Arbiter has
+	// requesters it is Arbiter itself: one model per requester count.
+	VCArbiter *power.ArbiterModel
+}
+
+// NewPowerModels builds the power models of one router structure.
+func NewPowerModels(rc router.Config, link power.LinkConfig, t tech.Params,
+	arbKind power.ArbiterKind, xbKind power.CrossbarKind) (*PowerModels, error) {
+	m := &PowerModels{}
+	var err error
+	m.Buffer, err = power.NewBuffer(power.BufferConfig{
+		Flits:      rc.BufferDepth,
+		FlitBits:   rc.FlitBits,
+		ReadPorts:  1,
+		WritePorts: 1,
+	}, t)
+	if err != nil {
+		return nil, err
+	}
+	switchReqs := rc.Ports - 1
+	if rc.Kind == router.CentralBuffered {
+		switchReqs = rc.Ports
+		m.CentralBuffer, err = power.NewCentralBuffer(power.CentralBufferConfig{
+			Banks:      rc.CBBanks,
+			Rows:       rc.CBRows,
+			FlitBits:   rc.FlitBits,
+			ReadPorts:  rc.CBReadPorts,
+			WritePorts: rc.CBWritePorts,
+		}, t)
+	} else {
+		m.Crossbar, err = power.NewCrossbar(power.CrossbarConfig{
+			Kind:      xbKind,
+			Inputs:    rc.Ports,
+			Outputs:   rc.Ports,
+			WidthBits: rc.FlitBits,
+		}, t)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if m.Link, err = power.NewLink(link, t); err != nil {
+		return nil, err
+	}
+	if m.Arbiter, err = power.NewArbiter(power.ArbiterConfig{Kind: arbKind, Requesters: switchReqs}, t); err != nil {
+		return nil, err
+	}
+	if rc.Kind == router.VirtualChannel && rc.VCs > 1 {
+		m.VCArbiter = m.Arbiter
+		if rc.VCs != switchReqs {
+			if m.VCArbiter, err = power.NewArbiter(power.ArbiterConfig{Kind: arbKind, Requesters: rc.VCs}, t); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return m, nil
+}
+
+// registerPowerModels registers every physical component's switching
+// state with the meter, against the network's one PowerModels table, and
+// computes per-node constant link power.
 func (n *Network) registerPowerModels() error {
 	cfg := n.cfg
 	topo := cfg.Topology
 	ports := cfg.Router.Ports
 	local := ports - 1
 
-	bufModel, err := power.NewBuffer(power.BufferConfig{
-		Flits:      cfg.Router.BufferDepth,
-		FlitBits:   cfg.Router.FlitBits,
-		ReadPorts:  1,
-		WritePorts: 1,
-	}, cfg.Tech)
+	models, err := NewPowerModels(cfg.Router, cfg.Link, cfg.Tech, cfg.ArbiterKind, cfg.CrossbarKind)
 	if err != nil {
 		return err
-	}
-
-	var xbModel *power.CrossbarModel
-	if cfg.Router.Kind != router.CentralBuffered {
-		xbModel, err = power.NewCrossbar(power.CrossbarConfig{
-			Kind:      cfg.CrossbarKind,
-			Inputs:    ports,
-			Outputs:   ports,
-			WidthBits: cfg.Router.FlitBits,
-		}, cfg.Tech)
-		if err != nil {
-			return err
-		}
-	}
-
-	var cbModel *power.CentralBufferModel
-	if cfg.Router.Kind == router.CentralBuffered {
-		cbModel, err = power.NewCentralBuffer(power.CentralBufferConfig{
-			Banks:      cfg.Router.CBBanks,
-			Rows:       cfg.Router.CBRows,
-			FlitBits:   cfg.Router.FlitBits,
-			ReadPorts:  cfg.Router.CBReadPorts,
-			WritePorts: cfg.Router.CBWritePorts,
-		}, cfg.Tech)
-		if err != nil {
-			return err
-		}
-	}
-
-	linkModel, err := power.NewLink(cfg.Link, cfg.Tech)
-	if err != nil {
-		return err
-	}
-
-	newArb := func(requesters int) (*power.ArbiterModel, error) {
-		return power.NewArbiter(power.ArbiterConfig{
-			Kind:       cfg.ArbiterKind,
-			Requesters: requesters,
-		}, cfg.Tech)
 	}
 
 	// leak accumulates static power when leakage modelling is enabled
@@ -624,69 +656,43 @@ func (n *Network) registerPowerModels() error {
 			n.staticW[node][c] += watts
 		}
 	}
+	arb := func(node int, class sim.EventType, stage, port int, a *power.ArbiterModel) {
+		n.meter.RegisterArbiter(node, class, stage, port, a)
+		leak(node, stats.CompArbiter, a.StaticPowerW())
+	}
 
 	for node := 0; node < topo.Nodes(); node++ {
 		for p := 0; p < ports; p++ {
 			for v := 0; v < cfg.Router.VCs; v++ {
-				n.meter.RegisterBuffer(node, p, v, bufModel)
-				leak(node, stats.CompBuffer, bufModel.StaticPowerW())
+				n.meter.RegisterBuffer(node, p, v, models.Buffer)
+				leak(node, stats.CompBuffer, models.Buffer.StaticPowerW())
 			}
 		}
 
 		switch cfg.Router.Kind {
 		case router.CentralBuffered:
-			n.meter.RegisterCentralBuffer(node, cbModel)
-			leak(node, stats.CompCentralBuffer, cbModel.StaticPowerW())
+			n.meter.RegisterCentralBuffer(node, models.CentralBuffer)
+			leak(node, stats.CompCentralBuffer, models.CentralBuffer.StaticPowerW())
 			for wp := 0; wp < cfg.Router.CBWritePorts; wp++ {
-				a, err := newArb(ports)
-				if err != nil {
-					return err
-				}
-				n.meter.RegisterArbiter(node, sim.EvArbitration, sim.StageInput, wp, a)
-				leak(node, stats.CompArbiter, a.StaticPowerW())
+				arb(node, sim.EvArbitration, sim.StageInput, wp, models.Arbiter)
 			}
 			for rp := 0; rp < cfg.Router.CBReadPorts; rp++ {
-				a, err := newArb(ports)
-				if err != nil {
-					return err
-				}
-				n.meter.RegisterArbiter(node, sim.EvArbitration, sim.StageOutput, rp, a)
-				leak(node, stats.CompArbiter, a.StaticPowerW())
+				arb(node, sim.EvArbitration, sim.StageOutput, rp, models.Arbiter)
 			}
 
 		default:
-			n.meter.RegisterCrossbar(node, xbModel)
-			leak(node, stats.CompCrossbar, xbModel.StaticPowerW())
+			n.meter.RegisterCrossbar(node, models.Crossbar)
+			leak(node, stats.CompCrossbar, models.Crossbar.StaticPowerW())
 			for o := 0; o < ports; o++ {
-				a, err := newArb(ports - 1)
-				if err != nil {
-					return err
-				}
-				n.meter.RegisterArbiter(node, sim.EvArbitration, sim.StageOutput, o, a)
-				leak(node, stats.CompArbiter, a.StaticPowerW())
+				arb(node, sim.EvArbitration, sim.StageOutput, o, models.Arbiter)
 			}
 			if cfg.Router.Kind == router.VirtualChannel {
 				for p := 0; p < ports; p++ {
-					if cfg.Router.VCs > 1 {
-						a, err := newArb(cfg.Router.VCs)
-						if err != nil {
-							return err
-						}
-						n.meter.RegisterArbiter(node, sim.EvArbitration, sim.StageInput, p, a)
-						leak(node, stats.CompArbiter, a.StaticPowerW())
-						av, err := newArb(cfg.Router.VCs)
-						if err != nil {
-							return err
-						}
-						n.meter.RegisterArbiter(node, sim.EvVCAllocation, sim.StageInput, p, av)
-						leak(node, stats.CompArbiter, av.StaticPowerW())
+					if models.VCArbiter != nil {
+						arb(node, sim.EvArbitration, sim.StageInput, p, models.VCArbiter)
+						arb(node, sim.EvVCAllocation, sim.StageInput, p, models.VCArbiter)
 					}
-					ao, err := newArb(ports - 1)
-					if err != nil {
-						return err
-					}
-					n.meter.RegisterArbiter(node, sim.EvVCAllocation, sim.StageOutput, p, ao)
-					leak(node, stats.CompArbiter, ao.StaticPowerW())
+					arb(node, sim.EvVCAllocation, sim.StageOutput, p, models.Arbiter)
 				}
 			}
 		}
@@ -697,8 +703,8 @@ func (n *Network) registerPowerModels() error {
 		linkCount := 1 // local port
 		for p := 0; p < local; p++ {
 			if _, ok := topo.Neighbor(node, p); ok {
-				n.meter.RegisterLink(node, p, linkModel)
-				leak(node, stats.CompLink, linkModel.StaticPowerW())
+				n.meter.RegisterLink(node, p, models.Link)
+				leak(node, stats.CompLink, models.Link.StaticPowerW())
 				if cfg.LinkDVS != nil {
 					ctrl, err := power.NewDVSController(*cfg.LinkDVS)
 					if err != nil {
@@ -713,10 +719,13 @@ func (n *Network) registerPowerModels() error {
 				linkCount++
 			}
 		}
-		n.constLink[node] = float64(linkCount) * linkModel.ConstantPower()
+		n.constLink[node] = float64(linkCount) * models.Link.ConstantPower()
 	}
 	return nil
 }
+
+// Meter returns the network's power meter (testing hook).
+func (n *Network) Meter() *stats.Meter { return n.meter }
 
 // Router returns the node's router (testing hook).
 func (n *Network) Router(node int) router.Router { return n.routers[node] }

@@ -84,8 +84,8 @@ func sweepCurve(label string, base orion.Config, rates []float64) (Curve, error)
 		return curve, fmt.Errorf("%s zero-load: %w", label, err)
 	}
 	// Per-point failures become Failed points; the curve keeps the rest.
-	var results []*orion.Result
-	curve.SaturationRate, curve.Saturated, results, _ = orion.SaturationThroughput(base, rates)
+	results, sweepErr := orion.Sweep(base, rates)
+	curve.SaturationRate, curve.Saturated, _ = orion.Saturation(rates, results, sweepErr, curve.ZeroLoad)
 	for i, res := range results {
 		pt := RatePoint{Rate: rates[i], Failed: res == nil}
 		if res != nil {

@@ -117,6 +117,21 @@ func (m *CentralBufferModel) AreaUm2() float64 {
 	return float64(m.Config.Banks)*m.Bank.AreaUm2() + m.InXbar.AreaUm2() + m.OutXbar.AreaUm2()
 }
 
+// AvgWriteEnergy returns the energy of one write at the conventional
+// α = 0.5 activity: bank write, input crossbar traversal and write-side
+// register latch, each with half its bits switching.
+func (m *CentralBufferModel) AvgWriteEnergy() float64 {
+	return m.Bank.AvgWriteEnergy() + m.InXbar.AvgTraversalEnergy() +
+		m.Regs.LatchEnergy(m.Config.FlitBits, m.Config.FlitBits/2)
+}
+
+// AvgReadEnergy returns the energy of one read at α = 0.5: bank read,
+// output crossbar traversal and read-side register latch.
+func (m *CentralBufferModel) AvgReadEnergy() float64 {
+	return m.Bank.ReadEnergy() + m.OutXbar.AvgTraversalEnergy() +
+		m.Regs.LatchEnergy(m.Config.FlitBits, m.Config.FlitBits/2)
+}
+
 // CentralBufferState tracks switching of one central buffer instance.
 type CentralBufferState struct {
 	model *CentralBufferModel

@@ -353,26 +353,22 @@ func (s *Server) submitJob(req *Request, cfg orion.Config, digest string) *Respo
 }
 
 // requestDigest is the cache/singleflight key: the hex SHA-256 over the
-// operation, the canonical config JSON, and (for sweeps) the rate list.
-// Execution details that cannot change a deterministic result —
-// Sim.Workers (already excluded from canonical JSON), PointTimeout,
-// PointRetries — are normalised out, so tuning them never splits the
-// cache. For sweeps the config digest is the same rate-normalised
-// SweepConfigDigest that binds journals and work-queue files.
+// operation, the config digest, and (for sweeps) the rate list. The
+// config digest leaves out execution details (orion.ConfigDigest), so
+// tuning them never splits the cache. For sweeps it is the same
+// rate-normalised SweepConfigDigest that binds journals and work-queue
+// files.
 func requestDigest(op string, cfg orion.Config, rates []float64) (string, error) {
-	norm := cfg
-	norm.Sim.PointTimeout = 0
-	norm.Sim.PointRetries = 0
 	var cfgDigest string
 	switch op {
 	case OpSweep:
-		d, err := orion.SweepConfigDigest(norm)
+		d, err := orion.SweepConfigDigest(cfg)
 		if err != nil {
 			return "", err
 		}
 		cfgDigest = d
 	default:
-		d, err := orion.ConfigDigest(norm)
+		d, err := orion.ConfigDigest(cfg)
 		if err != nil {
 			return "", err
 		}

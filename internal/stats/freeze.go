@@ -45,8 +45,8 @@ type frozenTables struct {
 	dvs       []*power.DVSController
 
 	cb       []*power.CentralBufferState
-	cbFixedW []float64 // fixed-activity write composite
-	cbFixedR []float64 // fixed-activity read composite
+	cbFixedW []float64 // AvgWriteEnergy
+	cbFixedR []float64 // AvgReadEnergy
 	cbReg    []float64 // standalone pipeline-register latch
 }
 
@@ -161,10 +161,8 @@ func (m *Meter) freeze() *frozenTables {
 	for n, s := range m.cbs {
 		f.cb[n] = s
 		mo := s.Model()
-		f.cbFixedW[n] = mo.Bank.AvgWriteEnergy() + mo.InXbar.AvgTraversalEnergy() +
-			mo.Regs.LatchEnergy(mo.Config.FlitBits, mo.Config.FlitBits/2)
-		f.cbFixedR[n] = mo.Bank.ReadEnergy() + mo.OutXbar.AvgTraversalEnergy() +
-			mo.Regs.LatchEnergy(mo.Config.FlitBits, mo.Config.FlitBits/2)
+		f.cbFixedW[n] = mo.AvgWriteEnergy()
+		f.cbFixedR[n] = mo.AvgReadEnergy()
 		f.cbReg[n] = mo.Regs.LatchEnergy(mo.Config.FlitBits, mo.Config.FlitBits/2)
 	}
 	return f

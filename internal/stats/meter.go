@@ -101,6 +101,36 @@ func (m *Meter) RegisterLinkDVS(node, port int, ctrl *power.DVSController) {
 	m.dvs[linkKey{node, port}] = ctrl
 }
 
+// ModelFor returns the power model Listen charges for e — a
+// *power.BufferModel, *power.CrossbarModel, *power.ArbiterModel,
+// *power.LinkModel or *power.CentralBufferModel — or nil when none is
+// registered (testing hook).
+func (m *Meter) ModelFor(e *sim.Event) any {
+	switch e.Type {
+	case sim.EvBufferWrite, sim.EvBufferRead:
+		if s, ok := m.buffers[bufKey{e.Node, e.Port, e.VC}]; ok {
+			return s.Model()
+		}
+	case sim.EvCrossbarTraversal:
+		if s, ok := m.xbars[e.Node]; ok {
+			return s.Model()
+		}
+	case sim.EvArbitration, sim.EvVCAllocation:
+		if s, ok := m.arbiters[arbKey{e.Node, e.Type, e.Stage, e.Port}]; ok {
+			return s.Model()
+		}
+	case sim.EvLinkTraversal:
+		if s, ok := m.links[linkKey{e.Node, e.Port}]; ok {
+			return s.Model()
+		}
+	case sim.EvCentralBufWrite, sim.EvCentralBufRead:
+		if s, ok := m.cbs[e.Node]; ok {
+			return s.Model()
+		}
+	}
+	return nil
+}
+
 // Err returns the first attribution error, or nil. Attribution errors mean
 // a module emitted an event for a component that was never registered — a
 // builder bug, not a workload property.
@@ -219,10 +249,7 @@ func (m *Meter) Listen(e *sim.Event) {
 			return
 		}
 		if m.fixed {
-			mo := s.Model()
-			en := mo.Bank.AvgWriteEnergy() + mo.InXbar.AvgTraversalEnergy() +
-				mo.Regs.LatchEnergy(mo.Config.FlitBits, mo.Config.FlitBits/2)
-			m.account.Add(e.Node, CompCentralBuffer, en)
+			m.account.Add(e.Node, CompCentralBuffer, s.Model().AvgWriteEnergy())
 			return
 		}
 		en, err := s.Write(e.Port, e.OutPort, e.Data)
@@ -239,10 +266,7 @@ func (m *Meter) Listen(e *sim.Event) {
 			return
 		}
 		if m.fixed {
-			mo := s.Model()
-			en := mo.Bank.ReadEnergy() + mo.OutXbar.AvgTraversalEnergy() +
-				mo.Regs.LatchEnergy(mo.Config.FlitBits, mo.Config.FlitBits/2)
-			m.account.Add(e.Node, CompCentralBuffer, en)
+			m.account.Add(e.Node, CompCentralBuffer, s.Model().AvgReadEnergy())
 			return
 		}
 		en, err := s.Read(e.Port, e.OutPort, e.Data)

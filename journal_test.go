@@ -217,6 +217,36 @@ func TestSweepJournaledRejectsMismatch(t *testing.T) {
 	}
 }
 
+// TestSweepJournaledResumeAcrossExecutionSettings: PointRetries and
+// PointTimeout cannot change a deterministic result, so a journal
+// written under one setting resumes under another.
+func TestSweepJournaledResumeAcrossExecutionSettings(t *testing.T) {
+	cfg := fastConfig(0)
+	cfg.Sim.PointRetries = 1
+	rates := []float64{0.02, 0.06}
+	path := filepath.Join(t.TempDir(), "sweep.jsonl")
+	first, err := sweepJournaled(cfg, rates, SweepJournalOptions{Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := journalLines(t, path)
+
+	cfg.Sim.PointRetries = 2
+	cfg.Sim.PointTimeout = time.Minute
+	resumed, err := sweepJournaled(cfg, rates, SweepJournalOptions{Path: path, Resume: true})
+	if err != nil {
+		t.Fatalf("resume with other retries and timeout: %v", err)
+	}
+	for i := range rates {
+		if fingerprint(first[i]) != fingerprint(resumed[i]) {
+			t.Errorf("rate %g: resumed result differs", rates[i])
+		}
+	}
+	if after := journalLines(t, path); len(after) != len(before) {
+		t.Fatalf("resume appended %d lines to a settled journal", len(after)-len(before))
+	}
+}
+
 // TestSweepJournaledFreshStartIgnoresMissingFile requires Resume against
 // a nonexistent journal to behave like a fresh sweep — the CLI always
 // passes -resume, and the first run must not fail.

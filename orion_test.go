@@ -4,6 +4,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"orion/internal/power"
+	"orion/internal/sim"
 )
 
 // fastConfig is a quick 4×4 on-chip VC configuration for unit tests.
@@ -212,6 +215,81 @@ func TestComponentEnergiesCentralBuffer(t *testing.T) {
 	}
 	if rep.LinkTraversalAvgJ != 0 {
 		t.Error("chip-to-chip link should have no per-traversal energy")
+	}
+}
+
+// TestCalculatorMatchesMeter: the standalone calculator reports the
+// energies of the very models a simulation of the same configuration
+// charges its events to, and a network builds one arbiter model per
+// requester count, not one per arbiter.
+func TestCalculatorMatchesMeter(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		router   RouterConfig
+		arbiters int // distinct arbiter models in the network
+	}{{"WH64", WH64(), 1}, {"VC16", VC16(), 2}, {"CB", CB(), 1}} {
+		for _, chip := range []struct {
+			name string
+			cfg  func(RouterConfig, float64) Config
+		}{{"on-chip", OnChip4x4}, {"chip-to-chip", ChipToChip4x4}} {
+			t.Run(tc.name+"/"+chip.name, func(t *testing.T) {
+				cfg := chip.cfg(tc.router, 0.05)
+				rep, err := ComponentEnergies(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s, err := NewSim(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				meter := s.net.Meter()
+				model := func(typ sim.EventType, stage int) any {
+					return meter.ModelFor(&sim.Event{Type: typ, Stage: stage})
+				}
+				check := func(field string, got, want float64) {
+					t.Helper()
+					if got != want {
+						t.Errorf("%s = %g, meter's model gives %g", field, got, want)
+					}
+				}
+
+				buf := model(sim.EvBufferWrite, 0).(*power.BufferModel)
+				check("BufferReadJ", rep.BufferReadJ, buf.ReadEnergy())
+				check("BufferWriteAvgJ", rep.BufferWriteAvgJ, buf.AvgWriteEnergy())
+				check("BufferWriteMaxJ", rep.BufferWriteMaxJ, buf.MaxWriteEnergy())
+				arb := model(sim.EvArbitration, sim.StageOutput).(*power.ArbiterModel)
+				check("ArbiterGrantJ", rep.ArbiterGrantJ, arb.GrantEnergy())
+				check("ArbiterRequestAvgJ", rep.ArbiterRequestAvgJ, arb.RequestEnergy(arb.Config.Requesters/2))
+				link := model(sim.EvLinkTraversal, 0).(*power.LinkModel)
+				check("LinkTraversalAvgJ", rep.LinkTraversalAvgJ, link.AvgTraversalEnergy())
+				check("LinkConstantW", rep.LinkConstantW, link.ConstantPower())
+				if tc.router.Kind == CentralBuffered {
+					cb := model(sim.EvCentralBufWrite, 0).(*power.CentralBufferModel)
+					check("CentralBufWriteJ", rep.CentralBufWriteJ, cb.AvgWriteEnergy())
+					check("CentralBufReadJ", rep.CentralBufReadJ, cb.AvgReadEnergy())
+				} else {
+					xb := model(sim.EvCrossbarTraversal, 0).(*power.CrossbarModel)
+					check("CrossbarTraversalAvgJ", rep.CrossbarTraversalAvgJ, xb.AvgTraversalEnergy())
+					check("CrossbarCtrlJ", rep.CrossbarCtrlJ, xb.CtrlEnergy())
+				}
+
+				distinct := map[any]bool{}
+				for node := 0; node < cfg.Width*cfg.Height; node++ {
+					for _, typ := range []sim.EventType{sim.EvArbitration, sim.EvVCAllocation} {
+						for stage := sim.StageInput; stage <= sim.StageOutput; stage++ {
+							for port := 0; port < 5; port++ {
+								if m := meter.ModelFor(&sim.Event{Type: typ, Node: node, Stage: stage, Port: port}); m != nil {
+									distinct[m] = true
+								}
+							}
+						}
+					}
+				}
+				if len(distinct) != tc.arbiters {
+					t.Errorf("arbiter states point at %d distinct models, want %d", len(distinct), tc.arbiters)
+				}
+			})
+		}
 	}
 }
 

@@ -621,20 +621,21 @@ func SaturationThroughput(cfg Config, rates []float64) (rate float64, ok bool, r
 		return 0, false, nil, err
 	}
 	results, err = Sweep(cfg, rates)
-	rate, ok, err = saturation(rates, results, err, zl)
+	rate, ok, err = Saturation(rates, results, err, zl)
 	return rate, ok, results, err
 }
 
-// saturation reads the paper's saturation throughput off a swept curve:
-// the lowest rate whose latency exceeds twice zeroLoad. A point that
-// failed with ErrSaturated (an over-saturated run that could not finish)
-// counts as infinitely slow; any other failure says nothing about the
-// curve and is skipped. sweepErr is the sweep's error, returned unless
-// it is a *SweepError whose every failure is such a witness.
-func saturation(rates []float64, results []*Result, sweepErr error, zeroLoad float64) (rate float64, ok bool, err error) {
+// Saturation reads the paper's saturation throughput off a swept curve:
+// the lowest rate whose latency exceeds twice zeroLoad, with results and
+// sweepErr as a sweep over rates returned them. A point that failed with
+// ErrSaturated (an over-saturated run that could not finish) counts as
+// infinitely slow; any other failure says nothing about the curve and is
+// skipped. sweepErr comes back as err unless it is a *SweepError whose
+// every failure is such a witness.
+func Saturation(rates []float64, results []*Result, sweepErr error, zeroLoad float64) (rate float64, ok bool, err error) {
 	pointErrs := make([]error, len(rates))
-	serr, _ := sweepErr.(*SweepError)
-	witnessesOnly := serr != nil
+	var serr *SweepError
+	witnessesOnly := errors.As(sweepErr, &serr)
 	if serr != nil {
 		for j, i := range serr.Index {
 			pointErrs[i] = serr.Errs[j]

@@ -51,7 +51,11 @@ func NewSim(cfg Config) (*Sim, error) {
 // ConfigDigest returns the SHA-256 of the configuration's canonical JSON
 // — the identity snapshots and sweep journals are bound to, so a snapshot
 // can never be resumed under a different configuration unnoticed.
+// Execution details that cannot change a deterministic result are left
+// out: Sim.Workers and Sim.AlwaysTick are not in the canonical JSON, and
+// Sim.PointTimeout and Sim.PointRetries are zeroed before hashing.
 func ConfigDigest(cfg Config) ([]byte, error) {
+	cfg.Sim.PointTimeout, cfg.Sim.PointRetries = 0, 0
 	data, err := ConfigJSON(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("orion: digesting config: %w", err)

@@ -93,7 +93,7 @@ func TestSaturationThroughputKeepsOtherFailures(t *testing.T) {
 	witness := fmt.Errorf("run: %w", ErrSaturated)
 	results := []*Result{{AvgLatency: 10}, nil}
 	serr := &SweepError{Index: []int{1}, Rates: []float64{0.2}, Errs: []error{witness}}
-	if rate, ok, err := saturation([]float64{0.1, 0.2}, results, serr, 8); !ok || rate != 0.2 || err != nil {
+	if rate, ok, err := Saturation([]float64{0.1, 0.2}, results, serr, 8); !ok || rate != 0.2 || err != nil {
 		t.Fatalf("saturated witness: rate %g, ok %v, err %v; want 0.2, true, nil", rate, ok, err)
 	}
 }
