@@ -68,7 +68,7 @@ func ComponentEnergies(cfg Config) (*EnergyReport, error) {
 		BufferWriteAvgJ:    m.Buffer.AvgWriteEnergy(),
 		BufferWriteMaxJ:    m.Buffer.MaxWriteEnergy(),
 		ArbiterGrantJ:      m.Arbiter.GrantEnergy(),
-		ArbiterRequestAvgJ: m.Arbiter.RequestEnergy(m.Arbiter.Config.Requesters / 2),
+		ArbiterRequestAvgJ: m.Arbiter.AvgRequestEnergy(),
 		LinkTraversalAvgJ:  m.Link.AvgTraversalEnergy(),
 		LinkConstantW:      m.Link.ConstantPower(),
 	}

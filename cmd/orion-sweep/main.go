@@ -96,9 +96,12 @@ func bindFlags(fs *flag.FlagSet) *options {
 	return o
 }
 
-func fail(format string, args ...any) {
+// fail reports an error and returns exit status 1. Callers return it
+// rather than exit, so run's deferred profile flush and signal.Stop
+// still happen.
+func fail(format string, args ...any) int {
 	fmt.Fprintf(os.Stderr, "orion-sweep: "+format+"\n", args...)
-	os.Exit(1)
+	return 1
 }
 
 func main() {
@@ -160,7 +163,7 @@ func run(args []string) (status int) {
 	}
 	stopProf, err := prof.Start(o.cpuProfile, o.memProfile)
 	if err != nil {
-		fail("%v", err)
+		return fail("%v", err)
 	}
 	defer func() {
 		if err := stopProf(); err != nil {
@@ -182,7 +185,7 @@ func run(args []string) (status int) {
 		var perr error
 		pool, perr = remote.NewPool(bopts)
 		if perr != nil {
-			fail("%v", perr)
+			return fail("%v", perr)
 		}
 		runner = pool.RunPoint
 	}
@@ -198,7 +201,7 @@ func run(args []string) (status int) {
 
 	zl, err := orion.ZeroLoadLatency(cfg)
 	if err != nil {
-		fail("zero-load: %v", err)
+		return fail("zero-load: %v", err)
 	}
 	if !o.worker {
 		fmt.Printf("zero-load latency: %.2f cycles\n", zl)
@@ -237,7 +240,7 @@ func run(args []string) (status int) {
 			os.Getpid(), stats.Claims, stats.Steals, stats.Commits, stats.LeasesLost, stats.BackendDown)
 		printPoolStats()
 		if werr != nil && !errors.Is(werr, context.Canceled) {
-			fail("worker: %v", werr)
+			return fail("worker: %v", werr)
 		}
 		select {
 		case s := <-caught:
@@ -274,7 +277,7 @@ func run(args []string) (status int) {
 		printPoolStats()
 	}
 	if results == nil && sweepErr != nil {
-		fail("%v", sweepErr)
+		return fail("%v", sweepErr)
 	}
 	pointErrs := make([]error, len(rates))
 	var serr *orion.SweepError
@@ -300,7 +303,7 @@ func run(args []string) (status int) {
 
 	if o.csv != "" {
 		if err := writeCSV(o.csv, rates, results); err != nil {
-			fail("writing CSV: %v", err)
+			return fail("writing CSV: %v", err)
 		}
 		fmt.Printf("curve written to %s\n", o.csv)
 	}
@@ -537,7 +540,7 @@ func workerArgs(argv []string) []string {
 func printStatus(path string) int {
 	pts, err := orion.JournalStatus(path)
 	if err != nil {
-		fail("%v", err)
+		return fail("%v", err)
 	}
 	if len(pts) == 0 {
 		fmt.Printf("journal %s: empty or missing\n", path)
@@ -607,7 +610,6 @@ func writeCSV(path string, rates []float64, results []*orion.Result) error {
 	}
 	defer f.Close()
 	w := csv.NewWriter(f)
-	defer w.Flush()
 	header := []string{"rate", "latency_cycles", "throughput_flits_node_cycle", "power_w",
 		"buffer_w", "crossbar_w", "arbiter_w", "link_w", "central_buffer_w"}
 	if err := w.Write(header); err != nil {
@@ -628,5 +630,8 @@ func writeCSV(path string, rates []float64, results []*orion.Result) error {
 		}
 	}
 	w.Flush()
-	return w.Error()
+	if err := w.Error(); err != nil {
+		return err
+	}
+	return f.Close()
 }

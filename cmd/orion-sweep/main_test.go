@@ -40,3 +40,18 @@ func TestResumeRequiresJournal(t *testing.T) {
 		t.Fatalf("orion-sweep -resume without -journal exited %d, want 2", status)
 	}
 }
+
+// TestFailureFlushesProfile: a sweep that fails after profiling started
+// (here, writing the CSV into a missing directory) returns 1 through
+// run's deferred cleanup, so the CPU profile is still written.
+func TestFailureFlushesProfile(t *testing.T) {
+	dir := t.TempDir()
+	cpu := filepath.Join(dir, "cpu.prof")
+	if status := run([]string{"-preset", "vc16", "-samples", "100", "-rates", "0.02",
+		"-cpuprofile", cpu, "-csv", filepath.Join(dir, "missing", "x.csv")}); status != 1 {
+		t.Fatalf("orion-sweep with an unwritable -csv exited %d, want 1", status)
+	}
+	if fi, err := os.Stat(cpu); err != nil || fi.Size() == 0 {
+		t.Fatalf("CPU profile not flushed: stat %v, err %v", fi, err)
+	}
+}

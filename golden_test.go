@@ -90,8 +90,9 @@ func TestGoldenDeterminism(t *testing.T) {
 
 // TestGoldenFastPathMatchesReference runs each preset through the frozen
 // fast event path and through the map-based reference listener
-// (Sim.ReferenceEventPath) and requires bit-identical results: the
-// precomputed energy tables must not change a single joule.
+// (Sim.ReferenceEventPath) and requires bit-identical results: both
+// lookups hand each event to the same charging method, so flattening the
+// registration maps into dense tables must not change a single joule.
 func TestGoldenFastPathMatchesReference(t *testing.T) {
 	for name, cfg := range goldenConfigs() {
 		cfg := cfg

@@ -165,6 +165,12 @@ func (m *ArbiterModel) RequestEnergy(switchingReqs int) float64 {
 	return float64(switchingReqs) * m.EReqInt
 }
 
+// AvgRequestEnergy returns the request energy at α = 0.5: half the
+// request lines toggle.
+func (m *ArbiterModel) AvgRequestEnergy() float64 {
+	return m.RequestEnergy(m.Config.Requesters / 2)
+}
+
 // PriorityBits returns the number of priority storage bits: R(R-1)/2 for a
 // matrix arbiter, R for a round-robin pointer, 0 for a queuing arbiter.
 // The value is precomputed in NewArbiter.

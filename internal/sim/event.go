@@ -36,8 +36,6 @@ const (
 	EvCentralBufWrite
 	// EvCentralBufRead: a flit was read from a central buffer.
 	EvCentralBufRead
-	// EvPipelineReg: central-buffer pipeline registers clocked a flit.
-	EvPipelineReg
 
 	numEventTypes = iota
 )
@@ -61,8 +59,6 @@ func (t EventType) String() string {
 		return "central-buffer-write"
 	case EvCentralBufRead:
 		return "central-buffer-read"
-	case EvPipelineReg:
-		return "pipeline-register"
 	default:
 		return fmt.Sprintf("EventType(%d)", int(t))
 	}

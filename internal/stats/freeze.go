@@ -6,17 +6,15 @@ import (
 )
 
 // This file is the meter's fast event path. The map-based Meter.Listen is
-// the readable reference implementation; Freeze flattens the registration
-// maps into dense slices indexed by (node, component) and precomputes every
-// energy term that does not depend on simulated data, then attaches one
-// typed handler per event class via Bus.SubscribeType. The handlers must be
-// observably identical to Listen — the golden tests compare the two paths
-// bit for bit — so every precomputed constant below is evaluated exactly
-// once with the same expression the reference path uses per event, and the
-// accumulation order of the per-event additions is preserved.
+// the readable reference lookup; freeze flattens the registration maps into
+// dense slices of component-state pointers indexed by (node, component),
+// and AttachBuses subscribes one typed handler per event class via
+// Bus.SubscribeType. Each handler only finds the component state by dense
+// index and calls the same charging method Listen calls, so the two paths
+// differ in lookup and dispatch alone; the golden tests compare them bit
+// for bit.
 
-// frozenTables holds the flattened component lookup and precomputed
-// constants. Slice layout:
+// frozenTables holds the flattened component lookup. Slice layout:
 //
 //	buffers: node*ports*vcs + port*vcs + vc
 //	arbiters: ((node*2 + class)*2 + stage)*ports + port
@@ -29,25 +27,12 @@ import (
 type frozenTables struct {
 	nodes, ports, vcs int
 
-	buf       []*power.BufferState
-	bufFixedW []float64 // AvgWriteEnergy, for the α = 0.5 ablation
-
-	xbar      []*power.CrossbarState
-	xbarFixed []float64 // AvgTraversalEnergy
-	xbarCtrl  []float64 // CtrlEnergy, charged with output-stage grants
-
-	arb         []*power.ArbiterState
-	arbFixedReq []float64 // RequestEnergy(R/2)
-	arbGrant    []float64 // GrantEnergy
-
-	link      []*power.LinkState
-	linkFixed []float64 // AvgTraversalEnergy
-	dvs       []*power.DVSController
-
-	cb       []*power.CentralBufferState
-	cbFixedW []float64 // AvgWriteEnergy
-	cbFixedR []float64 // AvgReadEnergy
-	cbReg    []float64 // standalone pipeline-register latch
+	buf  []*power.BufferState
+	xbar []*power.CrossbarState
+	arb  []*power.ArbiterState
+	link []*power.LinkState
+	dvs  []*power.DVSController
+	cb   []*power.CentralBufferState
 }
 
 func (f *frozenTables) bufIdx(node, port, vc int) int {
@@ -69,6 +54,21 @@ func (f *frozenTables) linkIdx(node, port int) int {
 		return -1
 	}
 	return node*f.ports + port
+}
+
+func (f *frozenTables) nodeIdx(node int) int {
+	if node < 0 || node >= f.nodes {
+		return -1
+	}
+	return node
+}
+
+// at returns table entry i, or nil when i is -1 (out of range).
+func at[T any](table []*T, i int) *T {
+	if i < 0 {
+		return nil
+	}
+	return table[i]
 }
 
 // freeze builds the flattened tables from the registration maps.
@@ -111,59 +111,32 @@ func (m *Meter) freeze() *frozenTables {
 	}
 
 	f.buf = make([]*power.BufferState, f.nodes*f.ports*f.vcs)
-	f.bufFixedW = make([]float64, len(f.buf))
 	for k, s := range m.buffers {
-		i := f.bufIdx(k.node, k.port, k.vc)
-		f.buf[i] = s
-		f.bufFixedW[i] = s.Model().AvgWriteEnergy()
+		f.buf[f.bufIdx(k.node, k.port, k.vc)] = s
 	}
-
 	f.xbar = make([]*power.CrossbarState, f.nodes)
-	f.xbarFixed = make([]float64, f.nodes)
-	f.xbarCtrl = make([]float64, f.nodes)
 	for n, s := range m.xbars {
 		f.xbar[n] = s
-		f.xbarFixed[n] = s.Model().AvgTraversalEnergy()
-		f.xbarCtrl[n] = s.Model().CtrlEnergy()
 	}
-
 	f.arb = make([]*power.ArbiterState, f.nodes*2*2*f.ports)
-	f.arbFixedReq = make([]float64, len(f.arb))
-	f.arbGrant = make([]float64, len(f.arb))
 	for k, s := range m.arbiters {
 		class := 0
 		if k.class == sim.EvVCAllocation {
 			class = 1
 		}
-		i := f.arbIdx(k.node, class, k.stage, k.port)
-		f.arb[i] = s
-		model := s.Model()
-		f.arbFixedReq[i] = model.RequestEnergy(model.Config.Requesters / 2)
-		f.arbGrant[i] = model.GrantEnergy()
+		f.arb[f.arbIdx(k.node, class, k.stage, k.port)] = s
 	}
-
 	f.link = make([]*power.LinkState, f.nodes*f.ports)
-	f.linkFixed = make([]float64, len(f.link))
-	f.dvs = make([]*power.DVSController, len(f.link))
 	for k, s := range m.links {
-		i := f.linkIdx(k.node, k.port)
-		f.link[i] = s
-		f.linkFixed[i] = s.Model().AvgTraversalEnergy()
+		f.link[f.linkIdx(k.node, k.port)] = s
 	}
+	f.dvs = make([]*power.DVSController, len(f.link))
 	for k, c := range m.dvs {
 		f.dvs[f.linkIdx(k.node, k.port)] = c
 	}
-
 	f.cb = make([]*power.CentralBufferState, f.nodes)
-	f.cbFixedW = make([]float64, f.nodes)
-	f.cbFixedR = make([]float64, f.nodes)
-	f.cbReg = make([]float64, f.nodes)
 	for n, s := range m.cbs {
 		f.cb[n] = s
-		mo := s.Model()
-		f.cbFixedW[n] = mo.AvgWriteEnergy()
-		f.cbFixedR[n] = mo.AvgReadEnergy()
-		f.cbReg[n] = mo.Regs.LatchEnergy(mo.Config.FlitBits, mo.Config.FlitBits/2)
 	}
 	return f
 }
@@ -182,143 +155,32 @@ func (m *Meter) freeze() *frozenTables {
 func (m *Meter) AttachBuses(buses ...*sim.Bus) {
 	f := m.freeze()
 	for _, bus := range buses {
-		m.attachFrozen(bus, f)
+		bus.SubscribeType(sim.EvBufferWrite, func(e *sim.Event) {
+			m.bufferWrite(e, at(f.buf, f.bufIdx(e.Node, e.Port, e.VC)))
+		})
+		bus.SubscribeType(sim.EvBufferRead, func(e *sim.Event) {
+			m.bufferRead(e, at(f.buf, f.bufIdx(e.Node, e.Port, e.VC)))
+		})
+		bus.SubscribeType(sim.EvCrossbarTraversal, func(e *sim.Event) {
+			m.crossbar(e, at(f.xbar, f.nodeIdx(e.Node)))
+		})
+		bus.SubscribeType(sim.EvArbitration, func(e *sim.Event) {
+			m.arbitrate(e, at(f.arb, f.arbIdx(e.Node, 0, e.Stage, e.Port)), at(f.xbar, f.nodeIdx(e.Node)))
+		})
+		bus.SubscribeType(sim.EvVCAllocation, func(e *sim.Event) {
+			m.arbitrate(e, at(f.arb, f.arbIdx(e.Node, 1, e.Stage, e.Port)), nil)
+		})
+		bus.SubscribeType(sim.EvLinkTraversal, func(e *sim.Event) {
+			i := f.linkIdx(e.Node, e.Port)
+			m.link(e, at(f.link, i), at(f.dvs, i))
+		})
+		bus.SubscribeType(sim.EvCentralBufWrite, func(e *sim.Event) {
+			m.cbWrite(e, at(f.cb, f.nodeIdx(e.Node)))
+		})
+		bus.SubscribeType(sim.EvCentralBufRead, func(e *sim.Event) {
+			m.cbRead(e, at(f.cb, f.nodeIdx(e.Node)))
+		})
 	}
-}
-
-func (m *Meter) attachFrozen(bus *sim.Bus, f *frozenTables) {
-	acct := m.account
-
-	bus.SubscribeType(sim.EvBufferWrite, func(e *sim.Event) {
-		i := f.bufIdx(e.Node, e.Port, e.VC)
-		if i < 0 || f.buf[i] == nil {
-			m.fail(e, "no buffer registered at port %d vc %d", e.Port, e.VC)
-			return
-		}
-		if m.fixed {
-			acct.Add(e.Node, CompBuffer, f.bufFixedW[i])
-			return
-		}
-		acct.Add(e.Node, CompBuffer, f.buf[i].Write(e.Data))
-	})
-
-	bus.SubscribeType(sim.EvBufferRead, func(e *sim.Event) {
-		i := f.bufIdx(e.Node, e.Port, e.VC)
-		if i < 0 || f.buf[i] == nil {
-			m.fail(e, "no buffer registered at port %d vc %d", e.Port, e.VC)
-			return
-		}
-		acct.Add(e.Node, CompBuffer, f.buf[i].Read())
-	})
-
-	bus.SubscribeType(sim.EvCrossbarTraversal, func(e *sim.Event) {
-		if e.Node < 0 || e.Node >= f.nodes || f.xbar[e.Node] == nil {
-			m.fail(e, "no crossbar registered")
-			return
-		}
-		if m.fixed {
-			acct.Add(e.Node, CompCrossbar, f.xbarFixed[e.Node])
-			return
-		}
-		en, err := f.xbar[e.Node].Traverse(e.Port, e.OutPort, e.Data)
-		if err != nil {
-			m.fail(e, "traverse: %v", err)
-			return
-		}
-		acct.Add(e.Node, CompCrossbar, en)
-	})
-
-	// One arbitration handler per allocator class; the switch-allocation
-	// variant additionally charges the crossbar control lines on
-	// output-stage grants (Appendix: E_xb_ctr accounted with E_arb).
-	arbHandler := func(class int, chargesCtrl bool) sim.Listener {
-		return func(e *sim.Event) {
-			i := f.arbIdx(e.Node, class, e.Stage, e.Port)
-			if i < 0 || f.arb[i] == nil {
-				m.fail(e, "no arbiter registered (stage %d port %d)", e.Stage, e.Port)
-				return
-			}
-			var en float64
-			if m.fixed {
-				en = f.arbFixedReq[i]
-				if e.Winner >= 0 {
-					en += f.arbGrant[i]
-				}
-			} else {
-				var err error
-				en, err = f.arb[i].Arbitrate(e.ReqVector, e.Winner)
-				if err != nil {
-					m.fail(e, "arbitrate: %v", err)
-					return
-				}
-			}
-			if chargesCtrl && e.Stage == sim.StageOutput && e.Winner >= 0 &&
-				e.Node >= 0 && e.Node < f.nodes && f.xbar[e.Node] != nil {
-				en += f.xbarCtrl[e.Node]
-			}
-			acct.Add(e.Node, CompArbiter, en)
-		}
-	}
-	bus.SubscribeType(sim.EvArbitration, arbHandler(0, true))
-	bus.SubscribeType(sim.EvVCAllocation, arbHandler(1, false))
-
-	bus.SubscribeType(sim.EvLinkTraversal, func(e *sim.Event) {
-		i := f.linkIdx(e.Node, e.Port)
-		if i < 0 || f.link[i] == nil {
-			m.fail(e, "no link registered at port %d", e.Port)
-			return
-		}
-		scale := 1.0
-		if ctrl := f.dvs[i]; ctrl != nil {
-			scale = ctrl.EnergyScale(e.Cycle)
-		}
-		if m.fixed {
-			acct.Add(e.Node, CompLink, scale*f.linkFixed[i])
-			return
-		}
-		acct.Add(e.Node, CompLink, scale*f.link[i].Traverse(e.Data))
-	})
-
-	bus.SubscribeType(sim.EvCentralBufWrite, func(e *sim.Event) {
-		if e.Node < 0 || e.Node >= f.nodes || f.cb[e.Node] == nil {
-			m.fail(e, "no central buffer registered")
-			return
-		}
-		if m.fixed {
-			acct.Add(e.Node, CompCentralBuffer, f.cbFixedW[e.Node])
-			return
-		}
-		en, err := f.cb[e.Node].Write(e.Port, e.OutPort, e.Data)
-		if err != nil {
-			m.fail(e, "cb write: %v", err)
-			return
-		}
-		acct.Add(e.Node, CompCentralBuffer, en)
-	})
-
-	bus.SubscribeType(sim.EvCentralBufRead, func(e *sim.Event) {
-		if e.Node < 0 || e.Node >= f.nodes || f.cb[e.Node] == nil {
-			m.fail(e, "no central buffer registered")
-			return
-		}
-		if m.fixed {
-			acct.Add(e.Node, CompCentralBuffer, f.cbFixedR[e.Node])
-			return
-		}
-		en, err := f.cb[e.Node].Read(e.Port, e.OutPort, e.Data)
-		if err != nil {
-			m.fail(e, "cb read: %v", err)
-			return
-		}
-		acct.Add(e.Node, CompCentralBuffer, en)
-	})
-
-	bus.SubscribeType(sim.EvPipelineReg, func(e *sim.Event) {
-		if e.Node < 0 || e.Node >= f.nodes || f.cb[e.Node] == nil {
-			return
-		}
-		acct.Add(e.Node, CompCentralBuffer, f.cbReg[e.Node])
-	})
 }
 
 // AttachReference subscribes the map-based reference listener to the bus.

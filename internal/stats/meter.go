@@ -155,137 +155,151 @@ func (m *Meter) fail(e *sim.Event, format string, args ...any) {
 	}
 }
 
-// Listen implements sim.Listener; subscribe it to the engine's bus.
+// Listen implements sim.Listener; subscribe it to the engine's bus. It is
+// the reference lookup: the registration maps and one type switch. The
+// frozen handlers of AttachBuses find the same component state by dense
+// index; both hand it to the event class's one charging method below.
 func (m *Meter) Listen(e *sim.Event) {
 	switch e.Type {
 	case sim.EvBufferWrite:
-		s, ok := m.buffers[bufKey{e.Node, e.Port, e.VC}]
-		if !ok {
-			m.fail(e, "no buffer registered at port %d vc %d", e.Port, e.VC)
-			return
-		}
-		if m.fixed {
-			m.account.Add(e.Node, CompBuffer, s.Model().AvgWriteEnergy())
-			return
-		}
-		m.account.Add(e.Node, CompBuffer, s.Write(e.Data))
-
+		m.bufferWrite(e, m.buffers[bufKey{e.Node, e.Port, e.VC}])
 	case sim.EvBufferRead:
-		s, ok := m.buffers[bufKey{e.Node, e.Port, e.VC}]
-		if !ok {
-			m.fail(e, "no buffer registered at port %d vc %d", e.Port, e.VC)
-			return
-		}
-		m.account.Add(e.Node, CompBuffer, s.Read())
-
+		m.bufferRead(e, m.buffers[bufKey{e.Node, e.Port, e.VC}])
 	case sim.EvCrossbarTraversal:
-		s, ok := m.xbars[e.Node]
-		if !ok {
-			m.fail(e, "no crossbar registered")
-			return
-		}
-		if m.fixed {
-			m.account.Add(e.Node, CompCrossbar, s.Model().AvgTraversalEnergy())
-			return
-		}
-		en, err := s.Traverse(e.Port, e.OutPort, e.Data)
-		if err != nil {
-			m.fail(e, "traverse: %v", err)
-			return
-		}
-		m.account.Add(e.Node, CompCrossbar, en)
-
-	case sim.EvArbitration, sim.EvVCAllocation:
-		s, ok := m.arbiters[arbKey{e.Node, e.Type, e.Stage, e.Port}]
-		if !ok {
-			m.fail(e, "no arbiter registered (stage %d port %d)", e.Stage, e.Port)
-			return
-		}
-		var en float64
-		if m.fixed {
-			model := s.Model()
-			en = model.RequestEnergy(model.Config.Requesters / 2)
-			if e.Winner >= 0 {
-				en += model.GrantEnergy()
-			}
-		} else {
-			var err error
-			en, err = s.Arbitrate(e.ReqVector, e.Winner)
-			if err != nil {
-				m.fail(e, "arbitrate: %v", err)
-				return
-			}
-		}
-		// A switch-allocator output-stage grant drives the crossbar
-		// control lines; E_xb_ctr is accounted as part of E_arb
-		// (Appendix).
-		if e.Type == sim.EvArbitration && e.Stage == sim.StageOutput && e.Winner >= 0 {
-			if xb, ok := m.xbars[e.Node]; ok {
-				en += xb.Model().CtrlEnergy()
-			}
-		}
-		m.account.Add(e.Node, CompArbiter, en)
-
+		m.crossbar(e, m.xbars[e.Node])
+	case sim.EvArbitration:
+		m.arbitrate(e, m.arbiters[arbKey{e.Node, e.Type, e.Stage, e.Port}], m.xbars[e.Node])
+	case sim.EvVCAllocation:
+		m.arbitrate(e, m.arbiters[arbKey{e.Node, e.Type, e.Stage, e.Port}], nil)
 	case sim.EvLinkTraversal:
-		s, ok := m.links[linkKey{e.Node, e.Port}]
-		if !ok {
-			m.fail(e, "no link registered at port %d", e.Port)
-			return
-		}
-		scale := 1.0
-		if ctrl, ok := m.dvs[linkKey{e.Node, e.Port}]; ok {
-			scale = ctrl.EnergyScale(e.Cycle)
-		}
-		if m.fixed {
-			m.account.Add(e.Node, CompLink, scale*s.Model().AvgTraversalEnergy())
-			return
-		}
-		m.account.Add(e.Node, CompLink, scale*s.Traverse(e.Data))
-
+		k := linkKey{e.Node, e.Port}
+		m.link(e, m.links[k], m.dvs[k])
 	case sim.EvCentralBufWrite:
-		s, ok := m.cbs[e.Node]
-		if !ok {
-			m.fail(e, "no central buffer registered")
-			return
-		}
-		if m.fixed {
-			m.account.Add(e.Node, CompCentralBuffer, s.Model().AvgWriteEnergy())
-			return
-		}
-		en, err := s.Write(e.Port, e.OutPort, e.Data)
-		if err != nil {
-			m.fail(e, "cb write: %v", err)
-			return
-		}
-		m.account.Add(e.Node, CompCentralBuffer, en)
-
+		m.cbWrite(e, m.cbs[e.Node])
 	case sim.EvCentralBufRead:
-		s, ok := m.cbs[e.Node]
-		if !ok {
-			m.fail(e, "no central buffer registered")
-			return
-		}
-		if m.fixed {
-			m.account.Add(e.Node, CompCentralBuffer, s.Model().AvgReadEnergy())
-			return
-		}
-		en, err := s.Read(e.Port, e.OutPort, e.Data)
-		if err != nil {
-			m.fail(e, "cb read: %v", err)
-			return
-		}
-		m.account.Add(e.Node, CompCentralBuffer, en)
-
-	case sim.EvPipelineReg:
-		// Pipeline register clocking inside the central buffer is
-		// already charged by the central-buffer read/write paths; a
-		// standalone event is accounted here for routers that latch
-		// flits outside a central buffer.
-		s, ok := m.cbs[e.Node]
-		if !ok {
-			return
-		}
-		m.account.Add(e.Node, CompCentralBuffer,
-			s.Model().Regs.LatchEnergy(s.Model().Config.FlitBits, s.Model().Config.FlitBits/2))
+		m.cbRead(e, m.cbs[e.Node])
 	}
+}
+
+// The charging methods below price one event each against the component
+// state the caller looked up. A nil state means no component is
+// registered there, which fails the run.
+
+func (m *Meter) bufferWrite(e *sim.Event, s *power.BufferState) {
+	if s == nil {
+		m.fail(e, "no buffer registered at port %d vc %d", e.Port, e.VC)
+		return
+	}
+	if m.fixed {
+		m.account.Add(e.Node, CompBuffer, s.Model().AvgWriteEnergy())
+		return
+	}
+	m.account.Add(e.Node, CompBuffer, s.Write(e.Data))
+}
+
+func (m *Meter) bufferRead(e *sim.Event, s *power.BufferState) {
+	if s == nil {
+		m.fail(e, "no buffer registered at port %d vc %d", e.Port, e.VC)
+		return
+	}
+	m.account.Add(e.Node, CompBuffer, s.Read())
+}
+
+func (m *Meter) crossbar(e *sim.Event, s *power.CrossbarState) {
+	if s == nil {
+		m.fail(e, "no crossbar registered")
+		return
+	}
+	if m.fixed {
+		m.account.Add(e.Node, CompCrossbar, s.Model().AvgTraversalEnergy())
+		return
+	}
+	en, err := s.Traverse(e.Port, e.OutPort, e.Data)
+	if err != nil {
+		m.fail(e, "traverse: %v", err)
+		return
+	}
+	m.account.Add(e.Node, CompCrossbar, en)
+}
+
+// arbitrate charges a switch or virtual-channel allocation. xb is the
+// node's crossbar for switch allocation and nil for VC allocation: a
+// switch-allocator output-stage grant drives the crossbar control lines,
+// and E_xb_ctr is accounted as part of E_arb (Appendix).
+func (m *Meter) arbitrate(e *sim.Event, s *power.ArbiterState, xb *power.CrossbarState) {
+	if s == nil {
+		m.fail(e, "no arbiter registered (stage %d port %d)", e.Stage, e.Port)
+		return
+	}
+	var en float64
+	if m.fixed {
+		model := s.Model()
+		en = model.AvgRequestEnergy()
+		if e.Winner >= 0 {
+			en += model.GrantEnergy()
+		}
+	} else {
+		var err error
+		en, err = s.Arbitrate(e.ReqVector, e.Winner)
+		if err != nil {
+			m.fail(e, "arbitrate: %v", err)
+			return
+		}
+	}
+	if xb != nil && e.Stage == sim.StageOutput && e.Winner >= 0 {
+		en += xb.Model().CtrlEnergy()
+	}
+	m.account.Add(e.Node, CompArbiter, en)
+}
+
+// link charges a link traversal, scaled by the link's DVS controller's
+// current Vdd² when dvs is not nil.
+func (m *Meter) link(e *sim.Event, s *power.LinkState, dvs *power.DVSController) {
+	if s == nil {
+		m.fail(e, "no link registered at port %d", e.Port)
+		return
+	}
+	scale := 1.0
+	if dvs != nil {
+		scale = dvs.EnergyScale(e.Cycle)
+	}
+	if m.fixed {
+		m.account.Add(e.Node, CompLink, scale*s.Model().AvgTraversalEnergy())
+		return
+	}
+	m.account.Add(e.Node, CompLink, scale*s.Traverse(e.Data))
+}
+
+func (m *Meter) cbWrite(e *sim.Event, s *power.CentralBufferState) {
+	if s == nil {
+		m.fail(e, "no central buffer registered")
+		return
+	}
+	if m.fixed {
+		m.account.Add(e.Node, CompCentralBuffer, s.Model().AvgWriteEnergy())
+		return
+	}
+	en, err := s.Write(e.Port, e.OutPort, e.Data)
+	if err != nil {
+		m.fail(e, "cb write: %v", err)
+		return
+	}
+	m.account.Add(e.Node, CompCentralBuffer, en)
+}
+
+func (m *Meter) cbRead(e *sim.Event, s *power.CentralBufferState) {
+	if s == nil {
+		m.fail(e, "no central buffer registered")
+		return
+	}
+	if m.fixed {
+		m.account.Add(e.Node, CompCentralBuffer, s.Model().AvgReadEnergy())
+		return
+	}
+	en, err := s.Read(e.Port, e.OutPort, e.Data)
+	if err != nil {
+		m.fail(e, "cb read: %v", err)
+		return
+	}
+	m.account.Add(e.Node, CompCentralBuffer, en)
 }

@@ -196,17 +196,50 @@ func testMeter(t *testing.T) (*Meter, *EnergyAccount) {
 	return m, acct
 }
 
-func TestMeterDispatch(t *testing.T) {
-	m, acct := testMeter(t)
-	data := []uint64{0xABCD}
+// bothPaths runs events through the meter's two lookups: Listen on one
+// fresh testMeter (the map-based reference) and a sim.Bus attached with
+// AttachBuses on another (the frozen dense tables). setup, when not nil,
+// runs on each meter first. Both must account the same bits per node and
+// component and agree on whether the meter failed. It returns the
+// reference meter and its account.
+func bothPaths(t *testing.T, setup func(*Meter), events ...*sim.Event) (*Meter, *EnergyAccount) {
+	t.Helper()
+	ref, refAcct := testMeter(t)
+	fast, fastAcct := testMeter(t)
+	if setup != nil {
+		setup(ref)
+		setup(fast)
+	}
+	var bus sim.Bus
+	fast.AttachBuses(&bus)
+	for _, e := range events {
+		ref.Listen(e)
+		bus.Publish(*e)
+	}
+	for node := 0; node < refAcct.Nodes(); node++ {
+		r, f := refAcct.Node(node), fastAcct.Node(node)
+		for c := Component(0); c < NumComponents; c++ {
+			if math.Float64bits(r[c]) != math.Float64bits(f[c]) {
+				t.Errorf("node %d %s: Listen %g, AttachBuses %g", node, c, r[c], f[c])
+			}
+		}
+	}
+	if (ref.Err() == nil) != (fast.Err() == nil) {
+		t.Errorf("Err: Listen %v, AttachBuses %v", ref.Err(), fast.Err())
+	}
+	return ref, refAcct
+}
 
-	m.Listen(&sim.Event{Type: sim.EvBufferWrite, Node: 0, Port: 1, VC: 0, Data: data})
-	m.Listen(&sim.Event{Type: sim.EvBufferRead, Node: 0, Port: 1, VC: 0})
-	m.Listen(&sim.Event{Type: sim.EvCrossbarTraversal, Node: 0, Port: 1, OutPort: 2, Data: data})
-	m.Listen(&sim.Event{Type: sim.EvArbitration, Node: 0, Port: 2, Stage: sim.StageOutput, ReqVector: 0b11, Winner: 0})
-	m.Listen(&sim.Event{Type: sim.EvLinkTraversal, Node: 0, Port: 2, Data: data})
-	m.Listen(&sim.Event{Type: sim.EvCentralBufWrite, Node: 1, Port: 0, OutPort: 1, Data: data})
-	m.Listen(&sim.Event{Type: sim.EvCentralBufRead, Node: 1, Port: 1, OutPort: 0, Data: data})
+func TestMeterDispatch(t *testing.T) {
+	data := []uint64{0xABCD}
+	m, acct := bothPaths(t, nil,
+		&sim.Event{Type: sim.EvBufferWrite, Node: 0, Port: 1, VC: 0, Data: data},
+		&sim.Event{Type: sim.EvBufferRead, Node: 0, Port: 1, VC: 0},
+		&sim.Event{Type: sim.EvCrossbarTraversal, Node: 0, Port: 1, OutPort: 2, Data: data},
+		&sim.Event{Type: sim.EvArbitration, Node: 0, Port: 2, Stage: sim.StageOutput, ReqVector: 0b11, Winner: 0},
+		&sim.Event{Type: sim.EvLinkTraversal, Node: 0, Port: 2, Data: data},
+		&sim.Event{Type: sim.EvCentralBufWrite, Node: 1, Port: 0, OutPort: 1, Data: data},
+		&sim.Event{Type: sim.EvCentralBufRead, Node: 1, Port: 1, OutPort: 0, Data: data})
 
 	if err := m.Err(); err != nil {
 		t.Fatalf("meter error: %v", err)
@@ -228,18 +261,20 @@ func TestMeterDispatch(t *testing.T) {
 // TestMeterArbiterIncludesCtrl: a switch-allocator output-stage grant must
 // include the crossbar control energy (Appendix: E_xb_ctr part of E_arb).
 func TestMeterArbiterIncludesCtrl(t *testing.T) {
-	m, acct := testMeter(t)
-	m.Listen(&sim.Event{Type: sim.EvArbitration, Node: 0, Port: 2, Stage: sim.StageOutput, ReqVector: 0b1, Winner: 0})
+	_, acct := bothPaths(t, nil,
+		&sim.Event{Type: sim.EvArbitration, Node: 0, Port: 2, Stage: sim.StageOutput, ReqVector: 0b1, Winner: 0})
 	withCtrl := acct.Node(0)[CompArbiter]
 
-	m2, acct2 := testMeter(t)
 	// Same grant but registered as VC allocation: no crossbar control.
-	arb, err := power.NewArbiter(power.ArbiterConfig{Kind: power.MatrixArbiter, Requesters: 4}, tech.Default())
-	if err != nil {
-		t.Fatal(err)
+	registerVC := func(m *Meter) {
+		arb, err := power.NewArbiter(power.ArbiterConfig{Kind: power.MatrixArbiter, Requesters: 4}, tech.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.RegisterArbiter(0, sim.EvVCAllocation, sim.StageOutput, 2, arb)
 	}
-	m2.RegisterArbiter(0, sim.EvVCAllocation, sim.StageOutput, 2, arb)
-	m2.Listen(&sim.Event{Type: sim.EvVCAllocation, Node: 0, Port: 2, Stage: sim.StageOutput, ReqVector: 0b1, Winner: 0})
+	_, acct2 := bothPaths(t, registerVC,
+		&sim.Event{Type: sim.EvVCAllocation, Node: 0, Port: 2, Stage: sim.StageOutput, ReqVector: 0b1, Winner: 0})
 	withoutCtrl := acct2.Node(0)[CompArbiter]
 
 	if withCtrl <= withoutCtrl {
@@ -247,25 +282,38 @@ func TestMeterArbiterIncludesCtrl(t *testing.T) {
 	}
 }
 
+// TestMeterUnregisteredComponents: an event for a component nobody
+// registered fails the run, whether the frozen lookup misses by index
+// range (node -1, port 9, stage 2, node past the last) or by a nil entry.
 func TestMeterUnregisteredComponents(t *testing.T) {
-	m, _ := testMeter(t)
 	events := []*sim.Event{
 		{Type: sim.EvBufferWrite, Node: 0, Port: 9, VC: 0},
+		{Type: sim.EvBufferWrite, Node: -1, Port: 1, VC: 0},
+		{Type: sim.EvBufferWrite, Node: 0, Port: 0, VC: 0},
 		{Type: sim.EvBufferRead, Node: 0, Port: 9, VC: 0},
+		{Type: sim.EvBufferRead, Node: 0, Port: 1, VC: 3},
 		{Type: sim.EvCrossbarTraversal, Node: 1, Port: 0, OutPort: 0},
+		{Type: sim.EvCrossbarTraversal, Node: -1, Port: 0, OutPort: 0},
 		{Type: sim.EvArbitration, Node: 0, Port: 9, Stage: sim.StageInput, ReqVector: 1, Winner: 0},
+		{Type: sim.EvArbitration, Node: 0, Port: 2, Stage: 2, ReqVector: 1, Winner: 0},
+		{Type: sim.EvArbitration, Node: -1, Port: 2, Stage: sim.StageOutput, ReqVector: 1, Winner: 0},
+		{Type: sim.EvVCAllocation, Node: 0, Port: 2, Stage: sim.StageOutput, ReqVector: 1, Winner: 0},
 		{Type: sim.EvLinkTraversal, Node: 0, Port: 9},
+		{Type: sim.EvLinkTraversal, Node: -1, Port: 2},
+		{Type: sim.EvLinkTraversal, Node: 1, Port: 2},
 		{Type: sim.EvCentralBufWrite, Node: 0, Port: 0, OutPort: 0},
+		{Type: sim.EvCentralBufWrite, Node: 2, Port: 0, OutPort: 0},
 		{Type: sim.EvCentralBufRead, Node: 0, Port: 0, OutPort: 0},
+		{Type: sim.EvCentralBufRead, Node: -1, Port: 0, OutPort: 0},
 	}
 	for _, e := range events {
-		fresh, _ := testMeter(t)
-		fresh.Listen(e)
-		if fresh.Err() == nil {
-			t.Errorf("event %s on unregistered component should be an error", e.Type)
+		if m, _ := bothPaths(t, nil, e); m.Err() == nil {
+			t.Errorf("%s at node %d port %d vc %d stage %d on an unregistered component should be an error",
+				e.Type, e.Node, e.Port, e.VC, e.Stage)
 		}
 	}
 	// Errors are capped, not unbounded.
+	m, _ := testMeter(t)
 	for i := 0; i < 100; i++ {
 		m.Listen(events[0])
 	}
@@ -275,9 +323,9 @@ func TestMeterUnregisteredComponents(t *testing.T) {
 }
 
 func TestMeterBadArbitration(t *testing.T) {
-	m, _ := testMeter(t)
 	// Winner 3 did not request.
-	m.Listen(&sim.Event{Type: sim.EvArbitration, Node: 0, Port: 2, Stage: sim.StageOutput, ReqVector: 0b1, Winner: 3})
+	m, _ := bothPaths(t, nil,
+		&sim.Event{Type: sim.EvArbitration, Node: 0, Port: 2, Stage: sim.StageOutput, ReqVector: 0b1, Winner: 3})
 	if m.Err() == nil {
 		t.Error("invalid arbitration should surface an error")
 	}
@@ -303,61 +351,65 @@ func TestEnergyAccountAddProperty(t *testing.T) {
 // TestMeterFixedActivity: with the α = 0.5 ablation every data-dependent
 // event costs its model's Avg* energy, independent of the data.
 func TestMeterFixedActivity(t *testing.T) {
-	m, acct := testMeter(t)
-	m.SetFixedActivity(true)
+	m, acct := bothPaths(t, func(m *Meter) { m.SetFixedActivity(true) },
+		&sim.Event{Type: sim.EvBufferWrite, Node: 0, Port: 1, VC: 0, Data: []uint64{0}},
+		&sim.Event{Type: sim.EvBufferWrite, Node: 0, Port: 1, VC: 0, Data: []uint64{0}},
+		&sim.Event{Type: sim.EvCrossbarTraversal, Node: 0, Port: 0, OutPort: 1, Data: []uint64{0}},
+		&sim.Event{Type: sim.EvLinkTraversal, Node: 0, Port: 2, Data: []uint64{0}},
+		&sim.Event{Type: sim.EvArbitration, Node: 0, Port: 2, Stage: sim.StageOutput, ReqVector: 0b1, Winner: 0},
+		&sim.Event{Type: sim.EvCentralBufWrite, Node: 1, Port: 0, OutPort: 0, Data: []uint64{0}},
+		&sim.Event{Type: sim.EvCentralBufRead, Node: 1, Port: 0, OutPort: 0, Data: []uint64{0}})
+	if err := m.Err(); err != nil {
+		t.Fatalf("meter error: %v", err)
+	}
 
 	buf := m.buffers[bufKey{0, 1, 0}].Model()
-	m.Listen(&sim.Event{Type: sim.EvBufferWrite, Node: 0, Port: 1, VC: 0, Data: []uint64{0}})
-	m.Listen(&sim.Event{Type: sim.EvBufferWrite, Node: 0, Port: 1, VC: 0, Data: []uint64{0}})
 	want := 2 * buf.AvgWriteEnergy()
 	if got := acct.Node(0)[CompBuffer]; math.Abs(got-want)/want > 1e-12 {
 		t.Errorf("fixed-activity buffer energy = %g, want %g (identical writes must not be free)", got, want)
 	}
 
 	xb := m.xbars[0].Model()
-	m.Listen(&sim.Event{Type: sim.EvCrossbarTraversal, Node: 0, Port: 0, OutPort: 1, Data: []uint64{0}})
 	if got := acct.Node(0)[CompCrossbar]; math.Abs(got-xb.AvgTraversalEnergy()) > 1e-30 {
 		t.Errorf("fixed-activity crossbar energy = %g, want %g", got, xb.AvgTraversalEnergy())
 	}
 
 	lnk := m.links[linkKey{0, 2}].Model()
-	m.Listen(&sim.Event{Type: sim.EvLinkTraversal, Node: 0, Port: 2, Data: []uint64{0}})
 	if got := acct.Node(0)[CompLink]; math.Abs(got-lnk.AvgTraversalEnergy()) > 1e-30 {
 		t.Errorf("fixed-activity link energy = %g, want %g", got, lnk.AvgTraversalEnergy())
 	}
 
-	m.Listen(&sim.Event{Type: sim.EvArbitration, Node: 0, Port: 2, Stage: sim.StageOutput, ReqVector: 0b1, Winner: 0})
-	if acct.Node(0)[CompArbiter] <= 0 {
-		t.Error("fixed-activity arbitration should still cost energy")
+	arb := m.arbiters[arbKey{0, sim.EvArbitration, sim.StageOutput, 2}].Model()
+	wantArb := arb.AvgRequestEnergy() + arb.GrantEnergy() + xb.CtrlEnergy()
+	if got := acct.Node(0)[CompArbiter]; wantArb <= 0 || math.Abs(got-wantArb)/wantArb > 1e-12 {
+		t.Errorf("fixed-activity arbitration energy = %g, want E_req(R/2)+E_gnt+E_xb_ctr = %g", got, wantArb)
 	}
-	m.Listen(&sim.Event{Type: sim.EvCentralBufWrite, Node: 1, Port: 0, OutPort: 0, Data: []uint64{0}})
-	m.Listen(&sim.Event{Type: sim.EvCentralBufRead, Node: 1, Port: 0, OutPort: 0, Data: []uint64{0}})
-	if acct.Node(1)[CompCentralBuffer] <= 0 {
-		t.Error("fixed-activity central buffer should still cost energy")
-	}
-	if err := m.Err(); err != nil {
-		t.Fatalf("meter error: %v", err)
+
+	cb := m.cbs[1].Model()
+	wantCB := cb.AvgWriteEnergy() + cb.AvgReadEnergy()
+	if got := acct.Node(1)[CompCentralBuffer]; math.Abs(got-wantCB)/wantCB > 1e-12 {
+		t.Errorf("fixed-activity central buffer energy = %g, want %g", got, wantCB)
 	}
 }
 
 // TestMeterDVSScaling: a registered DVS controller scales link traversal
 // energy with Vdd².
 func TestMeterDVSScaling(t *testing.T) {
-	m, acct := testMeter(t)
-	cfg := power.DefaultDVSConfig()
-	cfg.WindowCycles = 10
-	ctrl, err := power.NewDVSController(cfg)
-	if err != nil {
-		t.Fatal(err)
+	registerDVS := func(m *Meter) {
+		cfg := power.DefaultDVSConfig()
+		cfg.WindowCycles = 10
+		ctrl, err := power.NewDVSController(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.RegisterLinkDVS(0, 2, ctrl)
 	}
-	m.RegisterLinkDVS(0, 2, ctrl)
-
 	// Idle two windows: controller drops to 0.6 Vdd → 0.36 energy scale.
-	m.Listen(&sim.Event{Type: sim.EvLinkTraversal, Cycle: 25, Node: 0, Port: 2, Data: []uint64{0xFF}})
+	traversal := &sim.Event{Type: sim.EvLinkTraversal, Cycle: 25, Node: 0, Port: 2, Data: []uint64{0xFF}}
+	_, acct := bothPaths(t, registerDVS, traversal)
 	scaled := acct.Node(0)[CompLink]
 
-	m2, acct2 := testMeter(t)
-	m2.Listen(&sim.Event{Type: sim.EvLinkTraversal, Cycle: 25, Node: 0, Port: 2, Data: []uint64{0xFF}})
+	_, acct2 := bothPaths(t, nil, traversal)
 	full := acct2.Node(0)[CompLink]
 
 	if full <= 0 {

@@ -259,7 +259,7 @@ func TestCalculatorMatchesMeter(t *testing.T) {
 				check("BufferWriteMaxJ", rep.BufferWriteMaxJ, buf.MaxWriteEnergy())
 				arb := model(sim.EvArbitration, sim.StageOutput).(*power.ArbiterModel)
 				check("ArbiterGrantJ", rep.ArbiterGrantJ, arb.GrantEnergy())
-				check("ArbiterRequestAvgJ", rep.ArbiterRequestAvgJ, arb.RequestEnergy(arb.Config.Requesters/2))
+				check("ArbiterRequestAvgJ", rep.ArbiterRequestAvgJ, arb.AvgRequestEnergy())
 				link := model(sim.EvLinkTraversal, 0).(*power.LinkModel)
 				check("LinkTraversalAvgJ", rep.LinkTraversalAvgJ, link.AvgTraversalEnergy())
 				check("LinkConstantW", rep.LinkConstantW, link.ConstantPower())
