@@ -10,6 +10,7 @@ package orion
 
 import (
 	"context"
+	"fmt"
 	"path/filepath"
 	"testing"
 )
@@ -85,6 +86,25 @@ func BenchmarkMesh32VC8Workers1(b *testing.B) { benchMesh32Workers(b, 1) }
 func BenchmarkMesh32VC8Workers2(b *testing.B) { benchMesh32Workers(b, 2) }
 func BenchmarkMesh32VC8Workers4(b *testing.B) { benchMesh32Workers(b, 4) }
 func BenchmarkMesh32VC8Workers8(b *testing.B) { benchMesh32Workers(b, 8) }
+
+// BenchmarkWorkerCutoff times 1 against 2 tick workers on k×k meshes of
+// growing size at the same relative load (0.16/k packets/node/cycle, 40%
+// of the mesh's ~0.4/k bisection bound; k = 32 is the Mesh32VC8 point).
+// Below some node count the parallel kernel's two barriers per cycle
+// cost more than sharding saves; these rows locate that crossover, which
+// sizes the sequential cutoff auto workers resolve under
+// (internal/core/config.go, seqCutoffNodes).
+func BenchmarkWorkerCutoff(b *testing.B) {
+	for _, k := range []int{4, 8, 16, 20, 24, 32} {
+		for _, w := range []int{1, 2} {
+			b.Run(fmt.Sprintf("mesh%d/w%d", k, w), func(b *testing.B) {
+				cfg := OnChipMesh(k, k, VC8(), 0.16/float64(k))
+				cfg.Sim.Workers = w
+				benchRun(b, cfg)
+			})
+		}
+	}
+}
 
 // --- Activity-gated scheduling: the low-injection regime ---
 

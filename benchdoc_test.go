@@ -86,6 +86,16 @@ func TestDesignQuotesBenchJSON(t *testing.T) {
 		check("BenchmarkMesh32VC8LowLoadAlwaysTick", "ns/op", m[2])
 	}
 
+	// The worker-cutoff table: one row per mesh size, 1 and 2 workers.
+	cutoff := regexp.MustCompile(`\| ([0-9]+)×[0-9]+ \| [0-9]+ \| `+num+` \| `+num+` \|`).FindAllStringSubmatch(text, -1)
+	if len(cutoff) == 0 {
+		t.Error("DESIGN.md has no mesh | nodes | 1 worker | 2 workers cutoff table")
+	}
+	for _, m := range cutoff {
+		check("BenchmarkWorkerCutoff/mesh"+m[1]+"/w1", "ns/op", m[2])
+		check("BenchmarkWorkerCutoff/mesh"+m[1]+"/w2", "ns/op", m[3])
+	}
+
 	// The Scaling table: one row per recorded worker count.
 	start := strings.Index(text, "## Scaling")
 	if start < 0 {

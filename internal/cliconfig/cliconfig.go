@@ -430,7 +430,7 @@ var table = []entry{
 			return err
 		}),
 
-	field("workers", "parallel tick workers per run (0 = ORION_WORKERS env or all cores for a single run, 1 per sweep point; capped at half the node count; results are identical at any count)",
+	field("workers", "parallel tick workers per run (0 = ORION_WORKERS env, else all cores for a single run on a large network and 1 on a small one, 1 per sweep point; capped at half the node count; results are identical at any count)",
 		func(c *orion.Config) *int { return &c.Sim.Workers }),
 	field("point-timeout", "per-point wall-clock deadline (0 = none), e.g. 30s", func(c *orion.Config) *time.Duration { return &c.Sim.PointTimeout }),
 	field("profile", "sample power every N cycles and print the power-vs-time trace", func(c *orion.Config) *int64 { return &c.Sim.ProfileWindowCycles }),

@@ -98,12 +98,16 @@ type Config struct {
 	ProgressWindow int64
 
 	// Workers is the parallel tick worker count. 0 resolves to the
-	// ORION_WORKERS environment variable if set, else GOMAXPROCS; the
-	// result is capped at half the node count (tiny networks fall back
-	// to the sequential engine) and forced to 1 when fault injection is
-	// configured (faults mutate shared network state mid-tick). Results
-	// are bit-identical at every worker count — Workers is an execution
-	// detail, excluded from config digests and snapshots.
+	// ORION_WORKERS environment variable if set, else GOMAXPROCS — except
+	// that this last, machine-derived default drops to 1 (the sequential
+	// engine) on networks of fewer than seqCutoffNodes nodes, where the
+	// parallel kernel's per-cycle barriers cost more than sharding saves.
+	// An explicit count (field or environment) is kept on any network.
+	// Whatever the source, the count is capped at half the node count and
+	// forced to 1 when fault injection is configured (faults mutate shared
+	// network state mid-tick). Results are bit-identical at every worker
+	// count — Workers is an execution detail, excluded from config
+	// digests and snapshots.
 	Workers int
 
 	// AlwaysTick disables the active-set scheduler: every module ticks
@@ -113,6 +117,14 @@ type Config struct {
 	// Workers, an execution detail excluded from digests and snapshots.
 	AlwaysTick bool
 }
+
+// seqCutoffNodes is the network size below which auto-resolved workers
+// drop to the sequential engine. BenchmarkWorkerCutoff's rows in
+// BENCH_hotpath.json (1 vs 2 workers on k×k meshes, 2 CPUs) set it: 2
+// workers lose up to the 8×8 mesh and tie on the 16×16 (256 nodes),
+// where the sequential engine does the same work on one core; from the
+// 20×20 mesh (400 nodes) on they win.
+const seqCutoffNodes = 400
 
 // effectiveWorkers resolves Workers against the environment, the machine
 // and the network size. See the Workers field for the policy.
@@ -127,6 +139,9 @@ func (c Config) effectiveWorkers(nodes int) int {
 	}
 	if w == 0 {
 		w = runtime.GOMAXPROCS(0)
+		if nodes < seqCutoffNodes {
+			w = 1
+		}
 	}
 	if c.Faults != nil {
 		w = 1

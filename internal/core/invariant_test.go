@@ -125,7 +125,8 @@ func TestCheckerBufferOccupancyBounds(t *testing.T) {
 	bus := &sim.Bus{}
 	c := NewChecker([]*sim.Bus{bus}, 2, router.Config{Ports: 5, VCs: 1, BufferDepth: 2})
 	ev := func(ty sim.EventType, node, port int) {
-		bus.Publish(sim.Event{Type: ty, Cycle: 1, Node: node, Port: port, VC: 0})
+		bus.Begin(ty, 1, node).Port = port
+		bus.Publish()
 	}
 	ev(sim.EvBufferWrite, 0, 1)
 	ev(sim.EvBufferWrite, 0, 1)
@@ -145,7 +146,8 @@ func TestCheckerBufferOccupancyBounds(t *testing.T) {
 func TestCheckerUnderflow(t *testing.T) {
 	bus := &sim.Bus{}
 	c := NewChecker([]*sim.Bus{bus}, 1, router.Config{Ports: 5, VCs: 1, BufferDepth: 2})
-	bus.Publish(sim.Event{Type: sim.EvBufferRead, Cycle: 3, Node: 0, Port: 0, VC: 0})
+	bus.Begin(sim.EvBufferRead, 3, 0)
+	bus.Publish()
 	var ie *InvariantError
 	if !errors.As(c.Err(), &ie) || ie.Invariant != "buffer-occupancy" {
 		t.Errorf("underflow not caught: %v", c.Err())

@@ -253,10 +253,9 @@ func (r *CBRouter) receive(cycle int64) error {
 					return fmt.Errorf("cb router %d: input %d overflow: flow control violated by %v", r.node, p, f)
 				}
 				r.inQ[p].push(f)
-				r.bus.Publish(sim.Event{
-					Type: sim.EvBufferWrite, Cycle: cycle, Node: r.node,
-					Port: p, VC: 0, Data: f.Payload,
-				})
+				ev := r.bus.Begin(sim.EvBufferWrite, cycle, r.node)
+				ev.Port, ev.Data = p, f.Payload
+				r.bus.Publish()
 			}
 		}
 	}
@@ -303,10 +302,9 @@ func (r *CBRouter) readStage(cycle int64) error {
 	}
 	for rp := 0; rp < r.cfg.CBReadPorts && req != 0; rp++ {
 		o := r.readPick[rp].pick(req)
-		r.bus.Publish(sim.Event{
-			Type: sim.EvArbitration, Cycle: cycle, Node: r.node,
-			Stage: sim.StageOutput, Port: rp, ReqVector: req, Winner: o,
-		})
+		ev := r.bus.Begin(sim.EvArbitration, cycle, r.node)
+		ev.Stage, ev.Port, ev.ReqVector, ev.Winner = sim.StageOutput, rp, req, o
+		r.bus.Publish()
 		if o < 0 {
 			break
 		}
@@ -315,10 +313,9 @@ func (r *CBRouter) readStage(cycle int64) error {
 		pkt, _ := r.outQ[o].front()
 		e, _ := pkt.entries.pop()
 		r.used--
-		r.bus.Publish(sim.Event{
-			Type: sim.EvCentralBufRead, Cycle: cycle, Node: r.node,
-			Port: e.bank, OutPort: rp, Data: e.f.Payload,
-		})
+		ev = r.bus.Begin(sim.EvCentralBufRead, cycle, r.node)
+		ev.Port, ev.OutPort, ev.Data = e.bank, rp, e.f.Payload
+		r.bus.Publish()
 		if !r.outInfinite[o] {
 			r.outCredits[o]--
 		}
@@ -353,10 +350,9 @@ func (r *CBRouter) readStage(cycle int64) error {
 		}
 		if o != r.cfg.Ports-1 { // not the ejection port
 			f.Hop++
-			r.bus.Publish(sim.Event{
-				Type: sim.EvLinkTraversal, Cycle: cycle, Node: r.node,
-				Port: o, Data: f.Payload,
-			})
+			ev = r.bus.Begin(sim.EvLinkTraversal, cycle, r.node)
+			ev.Port, ev.Data = o, f.Payload
+			r.bus.Publish()
 			if r.faults != nil {
 				// Corrupt after the link event (the sender drives the
 				// original bits) so only downstream activity sees the
@@ -403,20 +399,18 @@ func (r *CBRouter) writeStage(cycle int64) error {
 	}
 	for wp := 0; wp < r.cfg.CBWritePorts && req != 0; wp++ {
 		p := r.writePick[wp].pick(req)
-		r.bus.Publish(sim.Event{
-			Type: sim.EvArbitration, Cycle: cycle, Node: r.node,
-			Stage: sim.StageInput, Port: wp, ReqVector: req, Winner: p,
-		})
+		ev := r.bus.Begin(sim.EvArbitration, cycle, r.node)
+		ev.Stage, ev.Port, ev.ReqVector, ev.Winner = sim.StageInput, wp, req, p
+		r.bus.Publish()
 		if p < 0 {
 			break
 		}
 		req &^= 1 << uint(p)
 
 		f, _ := r.inQ[p].pop()
-		r.bus.Publish(sim.Event{
-			Type: sim.EvBufferRead, Cycle: cycle, Node: r.node,
-			Port: p, VC: 0,
-		})
+		ev = r.bus.Begin(sim.EvBufferRead, cycle, r.node)
+		ev.Port = p
+		r.bus.Publish()
 		if w := r.inCred[p]; w != nil {
 			if err := w.Send(flit.Credit{VC: 0}); err != nil {
 				return err
@@ -446,10 +440,9 @@ func (r *CBRouter) writeStage(cycle int64) error {
 		r.bankNext = (r.bankNext + 1) % r.cfg.CBBanks
 		pkt.entries.push(cbEntry{f: f, bank: bank, writeCycle: cycle})
 		r.used++
-		r.bus.Publish(sim.Event{
-			Type: sim.EvCentralBufWrite, Cycle: cycle, Node: r.node,
-			Port: wp, OutPort: bank, Data: f.Payload,
-		})
+		ev = r.bus.Begin(sim.EvCentralBufWrite, cycle, r.node)
+		ev.Port, ev.OutPort, ev.Data = wp, bank, f.Payload
+		r.bus.Publish()
 		if f.Kind.IsTail() {
 			pkt.complete = true
 			r.curWrite[p] = nil

@@ -425,10 +425,9 @@ func (r *XBRouter) acceptFlit(cycle int64, port int, f *flit.Flit) error {
 		return fmt.Errorf("buffer overflow at port %d vc %d: flow control violated by %v", port, f.VC, f)
 	}
 	ivc.q.push(f)
-	r.bus.Publish(sim.Event{
-		Type: sim.EvBufferWrite, Cycle: cycle, Node: r.node,
-		Port: port, VC: f.VC, Data: f.Payload,
-	})
+	ev := r.bus.Begin(sim.EvBufferWrite, cycle, r.node)
+	ev.Port, ev.VC, ev.Data = port, f.VC, f.Payload
+	r.bus.Publish()
 	return r.refresh(port, f.VC)
 }
 
@@ -476,14 +475,12 @@ func (r *XBRouter) switchTraversal(cycle int64) error {
 		if ref := r.inRings[g.inPort][g.inVC]; ref != nil {
 			r.ringAdd(ref, -1)
 		}
-		r.bus.Publish(sim.Event{
-			Type: sim.EvBufferRead, Cycle: cycle, Node: r.node,
-			Port: g.inPort, VC: g.inVC,
-		})
-		r.bus.Publish(sim.Event{
-			Type: sim.EvCrossbarTraversal, Cycle: cycle, Node: r.node,
-			Port: g.inPort, OutPort: g.outPort, Data: f.Payload,
-		})
+		ev := r.bus.Begin(sim.EvBufferRead, cycle, r.node)
+		ev.Port, ev.VC = g.inPort, g.inVC
+		r.bus.Publish()
+		ev = r.bus.Begin(sim.EvCrossbarTraversal, cycle, r.node)
+		ev.Port, ev.OutPort, ev.Data = g.inPort, g.outPort, f.Payload
+		r.bus.Publish()
 
 		// Return the freed buffer slot upstream.
 		if w := r.inCred[g.inPort]; w != nil {
@@ -527,10 +524,9 @@ func (r *XBRouter) switchTraversal(cycle int64) error {
 		}
 		if !r.isEjection(g.outPort) {
 			f.Hop++
-			r.bus.Publish(sim.Event{
-				Type: sim.EvLinkTraversal, Cycle: cycle, Node: r.node,
-				Port: g.outPort, Data: f.Payload,
-			})
+			ev = r.bus.Begin(sim.EvLinkTraversal, cycle, r.node)
+			ev.Port, ev.Data = g.outPort, f.Payload
+			r.bus.Publish()
 			if r.faults != nil {
 				// Corrupt after the link event (the sender drives the
 				// original bits) so only downstream activity — buffer
@@ -629,10 +625,9 @@ func (r *XBRouter) switchAllocation(cycle int64) error {
 		}
 		w := r.saIn[p].pick(req)
 		candidate[p] = w
-		r.bus.Publish(sim.Event{
-			Type: sim.EvArbitration, Cycle: cycle, Node: r.node,
-			Stage: sim.StageInput, Port: p, ReqVector: req, Winner: w,
-		})
+		ev := r.bus.Begin(sim.EvArbitration, cycle, r.node)
+		ev.Stage, ev.Port, ev.ReqVector, ev.Winner = sim.StageInput, p, req, w
+		r.bus.Publish()
 	}
 
 	// Stage 2: per output port, pick one input among the candidates.
@@ -659,10 +654,9 @@ func (r *XBRouter) switchAllocation(cycle int64) error {
 			continue
 		}
 		slot := r.saOut[o].pick(req)
-		r.bus.Publish(sim.Event{
-			Type: sim.EvArbitration, Cycle: cycle, Node: r.node,
-			Stage: sim.StageOutput, Port: o, ReqVector: req, Winner: slot,
-		})
+		ev := r.bus.Begin(sim.EvArbitration, cycle, r.node)
+		ev.Stage, ev.Port, ev.ReqVector, ev.Winner = sim.StageOutput, o, req, slot
+		r.bus.Publish()
 		p := slotToPort(o, slot)
 		v := candidate[p]
 		ivc := &r.in[p][v]
@@ -719,10 +713,9 @@ func (r *XBRouter) vcAllocation(cycle int64) {
 		}
 		w := r.vaIn[p].pick(req)
 		candidate[p] = w
-		r.bus.Publish(sim.Event{
-			Type: sim.EvVCAllocation, Cycle: cycle, Node: r.node,
-			Stage: sim.StageInput, Port: p, ReqVector: req, Winner: w,
-		})
+		ev := r.bus.Begin(sim.EvVCAllocation, cycle, r.node)
+		ev.Stage, ev.Port, ev.ReqVector, ev.Winner = sim.StageInput, p, req, w
+		r.bus.Publish()
 	}
 
 	for o := 0; o < r.cfg.Ports; o++ {
@@ -739,10 +732,9 @@ func (r *XBRouter) vcAllocation(cycle int64) {
 			continue
 		}
 		slot := r.vaOut[o].pick(req)
-		r.bus.Publish(sim.Event{
-			Type: sim.EvVCAllocation, Cycle: cycle, Node: r.node,
-			Stage: sim.StageOutput, Port: o, ReqVector: req, Winner: slot,
-		})
+		ev := r.bus.Begin(sim.EvVCAllocation, cycle, r.node)
+		ev.Stage, ev.Port, ev.ReqVector, ev.Winner = sim.StageOutput, o, req, slot
+		r.bus.Publish()
 		p := slotToPort(o, slot)
 		v := candidate[p]
 		ivc := &r.in[p][v]

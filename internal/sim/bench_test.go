@@ -23,9 +23,9 @@ func BenchmarkBusPublish(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bus.Publish(Event{
-			Type: EvBufferWrite, Cycle: int64(i), Node: 3, Port: 1, Data: data,
-		})
+		e := bus.Begin(EvBufferWrite, int64(i), 3)
+		e.Port, e.Data = 1, data
+		bus.Publish()
 	}
 	_ = sink
 }
@@ -36,7 +36,9 @@ func BenchmarkBusPublishUntyped(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bus.Publish(Event{Type: EvArbitration, Cycle: int64(i), ReqVector: 0b1011, Winner: 1})
+		e := bus.Begin(EvArbitration, int64(i), 0)
+		e.ReqVector, e.Winner = 0b1011, 1
+		bus.Publish()
 	}
 	_ = sink
 }
@@ -45,9 +47,13 @@ func TestBusPublishZeroAlloc(t *testing.T) {
 	bus, _ := busForBench()
 	data := []uint64{42}
 	allocs := testing.AllocsPerRun(1000, func() {
-		bus.Publish(Event{Type: EvBufferWrite, Node: 1, Port: 2, Data: data})
-		bus.Publish(Event{Type: EvLinkTraversal, Node: 1, Port: 0, Data: data})
-		bus.Publish(Event{Type: EvArbitration, ReqVector: 3, Winner: 0})
+		e := bus.Begin(EvBufferWrite, 0, 1)
+		e.Port, e.Data = 2, data
+		bus.Publish()
+		bus.Begin(EvLinkTraversal, 0, 1).Data = data
+		bus.Publish()
+		bus.Begin(EvArbitration, 0, 0).ReqVector = 3
+		bus.Publish()
 	})
 	if allocs != 0 {
 		t.Errorf("Publish allocated %.1f objects per 3 events, want 0", allocs)

@@ -124,17 +124,19 @@ type Listener func(*Event)
 // Bus is the event subsystem. Modules publish events; power models and
 // statistics collectors subscribe. The zero value is ready to use.
 //
-// Publish is the innermost loop of a simulation — every buffer access,
+// Publishing is the innermost loop of a simulation — every buffer access,
 // arbitration, crossbar and link traversal passes through it — so it is
-// built to be allocation-free: events are passed by value, staged in a
-// single bus-owned scratch slot, and delivered by pointer to that slot.
+// built to be allocation-free and copy-free: the publisher fills a single
+// bus-owned scratch slot in place (Begin), and Publish delivers a pointer
+// to that slot. An Event is over a hundred bytes, so building one at the
+// call site and passing it by value would copy it twice per event.
 // Listeners may subscribe to all events (Subscribe) or to a single event
 // type (SubscribeType); typed listeners are not invoked for other types, so
 // e.g. a link power model never pays for arbitration events.
 type Bus struct {
 	all    []Listener
 	byType [NumEventTypes][]Listener
-	// scratch is the reusable delivery slot; see Publish.
+	// scratch is the reusable delivery slot; see Begin and Publish.
 	scratch Event
 	// Count tallies published events by type; always maintained, even
 	// with no listeners, so tests can assert module behaviour cheaply.
@@ -158,22 +160,32 @@ func (b *Bus) SubscribeType(t EventType, l Listener) {
 	b.byType[t] = append(b.byType[t], l)
 }
 
-// Publish delivers an event to every all-event listener in subscription
-// order, then to the listeners subscribed to the event's type. The event is
-// passed by value and delivered through a bus-owned scratch slot, so
-// publishing never allocates.
-func (b *Bus) Publish(e Event) {
+// Begin starts an event: it clears the bus's scratch slot, so no field of
+// the previous event survives, stamps it with the type, cycle and node,
+// and returns it for the publisher to fill in the remaining fields before
+// calling Publish.
+func (b *Bus) Begin(t EventType, cycle int64, node int) *Event {
+	e := &b.scratch
+	*e = Event{}
+	e.Type, e.Cycle, e.Node = t, cycle, node
+	return e
+}
+
+// Publish delivers the event filled in since the last Begin to every
+// all-event listener in subscription order, then to the listeners
+// subscribed to the event's type.
+func (b *Bus) Publish() {
+	e := &b.scratch
 	t := int(e.Type)
 	if t >= 0 && t < NumEventTypes {
 		b.Count[t]++
 	}
-	b.scratch = e
 	for _, l := range b.all {
-		l(&b.scratch)
+		l(e)
 	}
 	if t >= 0 && t < NumEventTypes {
 		for _, l := range b.byType[t] {
-			l(&b.scratch)
+			l(e)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -103,9 +104,10 @@ func TestBusCountsAndDispatch(t *testing.T) {
 	var got []EventType
 	b.Subscribe(func(e *Event) { got = append(got, e.Type) })
 	b.Subscribe(nil) // must be ignored
-	b.Publish(Event{Type: EvBufferWrite})
-	b.Publish(Event{Type: EvBufferRead})
-	b.Publish(Event{Type: EvBufferWrite})
+	for _, ty := range []EventType{EvBufferWrite, EvBufferRead, EvBufferWrite} {
+		b.Begin(ty, 0, 0)
+		b.Publish()
+	}
 	if len(got) != 3 || got[0] != EvBufferWrite || got[1] != EvBufferRead {
 		t.Errorf("dispatch order wrong: %v", got)
 	}
@@ -114,6 +116,28 @@ func TestBusCountsAndDispatch(t *testing.T) {
 	}
 	if b.Total() != 3 {
 		t.Errorf("Total = %d, want 3", b.Total())
+	}
+}
+
+// TestBusBeginClearsPreviousEvent: the bus reuses one slot for every
+// event, so a field the second publisher leaves unset must read as zero,
+// not as whatever the first event left there.
+func TestBusBeginClearsPreviousEvent(t *testing.T) {
+	var b Bus
+	var got []Event
+	b.Subscribe(func(e *Event) { got = append(got, *e) })
+	data := []uint64{0xfeed}
+	e := b.Begin(EvCrossbarTraversal, 7, 3)
+	e.Port, e.OutPort, e.VC, e.Stage = 1, 2, 1, StageOutput
+	e.Data, e.ReqVector, e.Winner = data, 0b110, 2
+	b.Publish()
+	b.Begin(EvBufferRead, 8, 4).Port = 0
+	b.Publish()
+	if len(got) != 2 {
+		t.Fatalf("listener saw %d events, want 2", len(got))
+	}
+	if want := (Event{Type: EvBufferRead, Cycle: 8, Node: 4}); !reflect.DeepEqual(got[1], want) {
+		t.Errorf("second event = %+v, want only %+v", got[1], want)
 	}
 }
 

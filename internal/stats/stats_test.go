@@ -214,7 +214,8 @@ func bothPaths(t *testing.T, setup func(*Meter), events ...*sim.Event) (*Meter, 
 	fast.AttachBuses(&bus)
 	for _, e := range events {
 		ref.Listen(e)
-		bus.Publish(*e)
+		*bus.Begin(e.Type, e.Cycle, e.Node) = *e
+		bus.Publish()
 	}
 	for node := 0; node < refAcct.Nodes(); node++ {
 		r, f := refAcct.Node(node), fastAcct.Node(node)

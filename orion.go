@@ -223,13 +223,15 @@ type SimConfig struct {
 	PointRetries int
 	// Workers is the parallel tick worker count for a single run. 0
 	// resolves to the ORION_WORKERS environment variable if set, else
-	// GOMAXPROCS; the result is capped at half the node count (tiny
-	// networks stay sequential) and forced to 1 under fault injection.
-	// Results are bit-identical at every worker count, so Workers is an
-	// execution detail: it is excluded from the canonical config JSON
-	// (and therefore from config digests and snapshot binding). Sweeps
-	// default each point to 1 worker — the sweep already fills all cores
-	// with concurrent points.
+	// GOMAXPROCS — but to 1 on networks below a measured size (see
+	// DESIGN.md "Worker resolution"), where the parallel kernel's
+	// per-cycle barriers cost more than they save. An explicit count is
+	// kept on any network. The result is capped at half the node count
+	// and forced to 1 under fault injection. Results are bit-identical
+	// at every worker count, so Workers is an execution detail: it is
+	// excluded from the canonical config JSON (and therefore from config
+	// digests and snapshot binding). Sweeps default each point to 1
+	// worker — the sweep already fills all cores with concurrent points.
 	Workers int `json:"-"`
 	// AlwaysTick disables the active-set scheduler, ticking every module
 	// every cycle as the engine did before activity gating existed. The

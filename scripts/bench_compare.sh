@@ -22,10 +22,18 @@
 #   BenchmarkMesh32VC8Workers1                1024-node fabric, sequential
 #   BenchmarkMesh32VC8LowLoad                 activity-gated sub-saturation run
 #
-# The multi-worker sweeps (Fig5VC64Workers*, Mesh32VC8Workers[248]) are
-# recorded in the baseline for scaling analysis but not gated: their
-# ns/op depends on the core count of the machine, so comparing them
-# across boxes is noise, not signal. As a backstop, any gate entry
+# BenchmarkFig5VC64 and BenchmarkSimulatorSpeed leave Workers at auto,
+# which on its own resolves to the box's core count: a 1-CPU baseline
+# would run them sequentially and a multi-core runner at 2-8 tick
+# workers. Their 16-node torus sits far below the sequential cutoff for
+# auto workers (internal/core/config.go, seqCutoffNodes), so every box
+# runs them on the sequential engine and the gate compares like with
+# like.
+#
+# The multi-worker sweeps (Fig5VC64Workers*, Mesh32VC8Workers[248],
+# WorkerCutoff) are recorded in the baseline for scaling analysis but not
+# gated: their ns/op depends on the core count of the machine, so
+# comparing them across boxes is noise, not signal. As a backstop, any gate entry
 # matching Workers[2-9] is refused — skipped with a WARNING — when the
 # baseline records a single-CPU box ("cpus" <= 1): a 1-CPU baseline for
 # a parallel bench measures contention, and gating against it would
