@@ -14,7 +14,7 @@ import (
 	"testing"
 )
 
-var updateAPI = flag.Bool("update", false, "rewrite testdata/api.golden from the current exports")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata golden files from the current build")
 
 // TestAPISurface pins the package's exported functions, methods and
 // types (with struct fields) to testdata/api.golden, so every change to
@@ -23,7 +23,7 @@ var updateAPI = flag.Bool("update", false, "rewrite testdata/api.golden from the
 func TestAPISurface(t *testing.T) {
 	got := strings.Join(exportedAPI(t), "\n") + "\n"
 	const golden = "testdata/api.golden"
-	if *updateAPI {
+	if *updateGolden {
 		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -1,0 +1,63 @@
+package orion
+
+import (
+	"fmt"
+	"os"
+	"runtime"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// TestPinnedResults pins absolute one-worker results to
+// testdata/results.golden: for every golden preset and every
+// worker-invariance case, the state hash at cycle 400 and every
+// fingerprint field of the finished run, floats as their IEEE bits. The
+// determinism, invariance and fast-vs-reference tests compare two runs of
+// the same build; this file is what catches a kernel change that moves
+// both sides of such a comparison at once. After an intended change of
+// results, run `go test -run TestPinnedResults -update .` and review the
+// diff.
+func TestPinnedResults(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		// Other architectures may fuse multiply-adds, which moves the
+		// low bits of the energy sums.
+		t.Skipf("float bits are pinned on amd64, not %s", runtime.GOARCH)
+	}
+	cases := map[string]Config{}
+	for name, cfg := range goldenConfigs() {
+		cases["golden/"+name] = cfg
+	}
+	for _, tc := range parallelCases {
+		cases["parallel/"+tc.name] = tc.cfg()
+	}
+	names := make([]string, 0, len(cases))
+	for name := range cases {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+
+	var b strings.Builder
+	for _, name := range names {
+		h, res := runAtWorkers(t, cases[name], 1)
+		f := fingerprint(res)
+		fmt.Fprintf(&b, "%s hash=%016x energy=%016x avg=%016x p50=%016x p95=%016x p99=%016x power=%016x injected=%d ejected=%d cycles=%d events=%+v\n",
+			name, h, f.energy, f.avg, f.p50, f.p95, f.p99, f.powerW, f.injected, f.ejected, f.cycles, f.events)
+	}
+	got := b.String()
+
+	const golden = "testdata/results.golden"
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("results differ from %s (run with -update after an intended change)\ngot:\n%s", golden, got)
+	}
+}
