@@ -1,4 +1,8 @@
-# Development entry points. `make ci` is what the CI workflow runs.
+# Development entry points. `make ci` runs the CI workflow's test,
+# fuzz-smoke and experiments-doc jobs. The other CI jobs stay CI-only:
+# the sweep gates (`make sweep-gates`), the parallel-speedup job (the
+# worker-speedup and gating speedup smokes and the 1024-node race run),
+# bench-gate (`make bench-compare` at CI's tolerance) and vulncheck.
 
 GO ?= go
 
@@ -72,7 +76,7 @@ sweep-gates: checkpoint-resume distributed-sweep remote-sweep serve-smoke
 # EXPERIMENTS.md drift check: regenerates every figure at the paper's
 # protocol (seed 1, 10,000 samples; about 25 s on 2 CPUs), checks every
 # Summary predicate and fails when any generated block differs from the
-# document. Not part of `ci`: it is its own CI job.
+# document. Part of `ci`, and its own CI job.
 experiments-doc:
 	$(GO) test -tags experiments -run TestExperimentsDoc -count=1 -timeout 20m ./internal/experiments
 
@@ -96,4 +100,4 @@ bench:
 bench-compare:
 	scripts/bench_compare.sh
 
-ci: build fmt-check vet race race-workers bench-test bench-smoke fuzz-smoke
+ci: build fmt-check vet race race-workers bench-test bench-smoke fuzz-smoke experiments-doc

@@ -56,7 +56,7 @@ var (
 	snapEvery  = flag.Int64("snapshot-every", 10000, "cycles between periodic snapshots (with -snapshot)")
 	resumeSnap = flag.Bool("resume", false, "resume from the -snapshot file via verified deterministic replay")
 	selfCheck  = flag.Int64("selfcheck", 0,
-		"divergence self-check: run the fast event path in lockstep with the reference event path, the always-tick scheduler and (when the run uses more than one worker) the sequential engine, comparing state hashes every N cycles, then exit")
+		"divergence self-check: run the fast event path in lockstep with the reference event path, the always-tick scheduler and (when the run uses more than one worker) one worker (shard 0 on the caller), comparing state hashes every N cycles, then exit")
 )
 
 func fail(format string, args ...any) {
@@ -109,16 +109,16 @@ func run() int {
 			fail("self-check: %v", err)
 		}
 		// Name the oracles VerifyEventPath ran. The always-tick one runs
-		// on every CLI config (no flag switches gating off); the parallel
-		// one only when the run resolves to more than one tick worker,
-		// which on small networks takes an explicit -workers.
+		// on every CLI config (no flag switches gating off); the
+		// one-worker one only when the run resolves to more than one tick
+		// worker, which on small networks takes an explicit -workers.
 		s, err := orion.NewSim(cfg)
 		if err != nil {
 			fail("self-check: %v", err)
 		}
 		agreed := "fast vs reference event path, activity-gated vs always-tick scheduler"
 		if s.Workers() > 1 {
-			agreed += fmt.Sprintf(", parallel (%d workers) vs sequential engine", s.Workers())
+			agreed += fmt.Sprintf(", %d workers vs one worker", s.Workers())
 		}
 		fmt.Printf("self-check passed: %s agree (state hash compared every %d cycles)\n", agreed, *selfCheck)
 		return 0

@@ -97,11 +97,12 @@ type Config struct {
 	// cycles while sample packets are outstanding (deadlock detector).
 	ProgressWindow int64
 
-	// Workers is the parallel tick worker count. 0 resolves to the
-	// ORION_WORKERS environment variable if set, else GOMAXPROCS — except
-	// that this last, machine-derived default drops to 1 (the sequential
-	// engine) on networks of fewer than seqCutoffNodes nodes, where the
-	// parallel kernel's per-cycle barriers cost more than sharding saves.
+	// Workers is the tick worker count. 0 resolves to the ORION_WORKERS
+	// environment variable if set, else GOMAXPROCS — except that this
+	// last, machine-derived default drops to 1 (one worker: shard 0 on
+	// the caller) on networks of fewer than seqCutoffNodes nodes, where
+	// the per-cycle barriers of more workers cost more than sharding
+	// saves.
 	// An explicit count (field or environment) is kept on any network.
 	// Whatever the source, the count is capped at half the node count and
 	// forced to 1 when fault injection is configured (faults mutate shared
@@ -119,11 +120,10 @@ type Config struct {
 }
 
 // seqCutoffNodes is the network size below which auto-resolved workers
-// drop to the sequential engine. BenchmarkWorkerCutoff's rows in
-// BENCH_hotpath.json (1 vs 2 workers on k×k meshes, 2 CPUs) set it: 2
-// workers lose up to the 8×8 mesh and tie on the 16×16 (256 nodes),
-// where the sequential engine does the same work on one core; from the
-// 20×20 mesh (400 nodes) on they win.
+// drop to one. BenchmarkWorkerCutoff's rows in BENCH_hotpath.json (1 vs
+// 2 workers on k×k meshes, 2 CPUs) set it: 2 workers lose up to the 8×8
+// mesh and tie on the 16×16 (256 nodes), where one worker does the same
+// work on one core; from the 20×20 mesh (400 nodes) on they win.
 const seqCutoffNodes = 400
 
 // effectiveWorkers resolves Workers against the environment, the machine

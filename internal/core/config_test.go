@@ -10,7 +10,7 @@ import (
 // TestEffectiveWorkers pins the worker resolution policy: the
 // machine-derived default drops to 1 below seqCutoffNodes, an explicit
 // count (field or ORION_WORKERS) skips that cutoff but not the half-node
-// cap, and fault injection always forces the sequential engine.
+// cap, and fault injection always forces one worker.
 func TestEffectiveWorkers(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	faults := &fault.Config{}

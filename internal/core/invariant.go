@@ -95,9 +95,9 @@ type Checker struct {
 	dropped  int64 // flits discarded by fault injection
 
 	// errs holds the first violation per error slot: one slot per shard
-	// bus (written only by that shard's goroutine under the parallel
-	// engine) plus a final slot for the sequential network hooks
-	// (OnInject/OnEject/OnDrop/CheckConservation). Err merges the slots
+	// bus (written only by that shard's worker) plus a final slot for the
+	// network hooks (OnInject/OnEject/OnDrop/CheckConservation), which
+	// run on the goroutine stepping the engine. Err merges the slots
 	// deterministically, so the reported violation is independent of
 	// worker scheduling.
 	errs []*InvariantError
@@ -132,12 +132,12 @@ func NewChecker(buses []*sim.Bus, nodes int, rcfg router.Config) *Checker {
 	return c
 }
 
-// hookSlot is the error slot of the sequential network hooks.
+// hookSlot is the error slot of the network hooks.
 func (c *Checker) hookSlot() int { return len(c.errs) - 1 }
 
 // Err returns the run's first violation, or nil. With several slots
-// failed, "first" is chosen deterministically to match the sequential
-// engine's event order: lowest cycle wins; within a cycle, event-slot
+// failed, "first" is chosen deterministically to match the one-worker
+// event order: lowest cycle wins; within a cycle, event-slot
 // errors beat hook-slot errors (all bus events of a cycle precede the
 // sink-phase hooks), and among event slots the lowest node wins (modules
 // tick in ascending node order, and each shard observes its own nodes'

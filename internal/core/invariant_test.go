@@ -125,7 +125,8 @@ func TestCheckerBufferOccupancyBounds(t *testing.T) {
 	bus := &sim.Bus{}
 	c := NewChecker([]*sim.Bus{bus}, 2, router.Config{Ports: 5, VCs: 1, BufferDepth: 2})
 	ev := func(ty sim.EventType, node, port int) {
-		bus.Begin(ty, 1, node).Port = port
+		e := bus.Begin(ty, 1, node)
+		e.Port, e.VC = port, 0
 		bus.Publish()
 	}
 	ev(sim.EvBufferWrite, 0, 1)
@@ -146,7 +147,7 @@ func TestCheckerBufferOccupancyBounds(t *testing.T) {
 func TestCheckerUnderflow(t *testing.T) {
 	bus := &sim.Bus{}
 	c := NewChecker([]*sim.Bus{bus}, 1, router.Config{Ports: 5, VCs: 1, BufferDepth: 2})
-	bus.Begin(sim.EvBufferRead, 3, 0)
+	bus.Begin(sim.EvBufferRead, 3, 0).VC = 0
 	bus.Publish()
 	var ie *InvariantError
 	if !errors.As(c.Err(), &ie) || ie.Invariant != "buffer-occupancy" {

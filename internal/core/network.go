@@ -19,9 +19,8 @@ type Network struct {
 	cfg Config
 
 	engine *sim.Engine
-	// buses are the event buses, one per tick worker. Sequential runs have
-	// exactly one; parallel runs give each shard its own so the hot path
-	// stays lock-free, and merge the per-bus counters at measurement
+	// buses are the event buses, one per tick worker, so the hot path
+	// stays lock-free; the per-bus counters merge at measurement
 	// boundaries (eventCounts). A component's events always go to its own
 	// node's shard bus, so per-component state behind the subscribers is
 	// never shared across workers.
@@ -88,9 +87,9 @@ type Network struct {
 	dvsCtrls  []*power.DVSController
 
 	// sinkPending[w] collects worker w's sinks holding a deferred
-	// ejection record this cycle (parallel mode only); the sink flusher
-	// drains the lists in shard order on the coordinator. Preallocated to
-	// shard size, so the hot path never grows it.
+	// ejection record this cycle; the sink flusher drains the lists in
+	// shard order on the calling goroutine. Preallocated to shard size,
+	// so the hot path never grows it.
 	sinkPending [][]*router.Sink
 }
 
@@ -120,23 +119,16 @@ func Build(cfg Config) (*Network, error) {
 
 	// Worker count and shard map. Node node's modules tick on worker
 	// shardOf(node) and publish on buses[shardOf(node)]; shards are
-	// contiguous node ranges so the merge order is fixed. workers == 1 is
-	// the plain sequential engine with a single bus.
+	// contiguous node ranges so the merge order is fixed. Worker 0 is the
+	// goroutine stepping the engine, so one worker is one shard with one
+	// bus, ticked by the caller.
 	workers := cfg.effectiveWorkers(nodes)
-	shardOf := func(node int) int { return node * workers / nodes }
 	buses := make([]*sim.Bus, workers)
 	for i := range buses {
 		buses[i] = &sim.Bus{}
 	}
-	busFor := func(node int) *sim.Bus { return buses[shardOf(node)] }
 
-	engine := sim.NewEngine(buses[0])
-	if workers > 1 {
-		engine.SetParallel(workers)
-	}
-	if !cfg.AlwaysTick {
-		engine.EnableGating()
-	}
+	engine := sim.NewEngine(workers, !cfg.AlwaysTick)
 	account := stats.NewEnergyAccount(nodes)
 	meter := stats.NewMeter(account)
 	meter.SetFixedActivity(cfg.FixedActivity)
@@ -189,9 +181,9 @@ func Build(cfg Config) (*Network, error) {
 			err error
 		)
 		if rcfg.Kind == router.CentralBuffered {
-			r, err = router.NewCB(node, rcfg, busFor(node))
+			r, err = router.NewCB(node, rcfg, buses[n.shardOf(node)])
 		} else {
-			r, err = router.NewXB(node, rcfg, busFor(node))
+			r, err = router.NewXB(node, rcfg, buses[n.shardOf(node)])
 		}
 		if err != nil {
 			return nil, err
@@ -265,80 +257,65 @@ func Build(cfg Config) (*Network, error) {
 	gen.SetRecycling(cfg.Faults == nil)
 	n.gen = gen
 
-	// Registration order: sources, routers, sinks (order does not affect
-	// results — all cross-module communication is through one-cycle
-	// wires).
+	// Registration order: sources, routers, sinks, each on its node's
+	// shard (a node's modules mutate only that node's state and publish
+	// only on its shard bus). The order does not affect results — all
+	// cross-module communication is through one-cycle wires — but it is
+	// the order a cycle's first module error is chosen in.
 	//
-	// Parallel mode shards sources, routers and sinks by node onto the
-	// worker pool (a node's modules mutate only that node's state and
-	// publish only on its shard bus). Bubble-ring VC routers additionally
-	// defer their shared-Ring updates and VC allocation to the ordered
-	// phase, which replays them on one goroutine in node order — the
-	// exact global ring-op order of the sequential engine. Sinks defer
-	// their ejection record similarly: the flit consume and count happen
-	// on the shard worker, and the Network-level callbacks (sampler,
-	// checker ledger, flow counters — shared across nodes) are replayed
-	// by the sink flusher on the coordinator in node order.
-	if workers > 1 {
-		for node := 0; node < nodes; node++ {
-			engine.RegisterShardedGated(shardOf(node), n.sources[node], n.srcGates[node])
-		}
-		for node := 0; node < nodes; node++ {
-			engine.RegisterShardedGated(shardOf(node), n.routers[node], n.rtrGates[node])
-		}
-		if rcfg.Kind == router.VirtualChannel && rcfg.Bubble {
-			for node := 0; node < nodes; node++ {
-				xb := n.routers[node].(*router.XBRouter)
-				xb.SetDeferredRings(true)
-				// The ordered phase shares the router's gate: Quiescent
-				// covers TickOrdered, so a sleeping router's ordered
-				// sub-phase is skipped along with its Tick.
-				engine.RegisterOrderedGated(xb, n.rtrGates[node])
-			}
-		}
-		n.sinkPending = make([][]*router.Sink, workers)
-		counts := make([]int, workers)
-		for node := 0; node < nodes; node++ {
-			counts[shardOf(node)]++
-		}
-		for w := range n.sinkPending {
-			n.sinkPending[w] = make([]*router.Sink, 0, counts[w])
-		}
-		for node := 0; node < nodes; node++ {
-			w := shardOf(node)
-			n.sinks[node].SetDeferred(&n.sinkPending[w])
-			engine.RegisterShardedGated(w, n.sinks[node], n.sinkGates[node])
-		}
-		// The flusher stays ungated: deferred records exist only on
-		// cycles a sink ticked, and draining empty lists is cheap.
-		engine.Register(sinkFlusher{n})
-	} else {
-		for node := 0; node < nodes; node++ {
-			engine.RegisterGated(n.sources[node], n.srcGates[node])
-		}
-		for node := 0; node < nodes; node++ {
-			engine.RegisterGated(n.routers[node], n.rtrGates[node])
-		}
-		for node := 0; node < nodes; node++ {
-			engine.RegisterGated(n.sinks[node], n.sinkGates[node])
+	// Bubble-ring VC routers defer their shared-Ring updates and VC
+	// allocation to the ordered phase, which replays them on one
+	// goroutine in node order, so the global ring-op order is the same at
+	// every worker count. Sinks defer their ejection record similarly:
+	// the flit consume and count happen on the shard's worker, and the
+	// Network-level callbacks (sampler, checker ledger, flow counters —
+	// shared across nodes) are replayed by the sink flusher after the
+	// routers' ordered phase, in node order.
+	for node := 0; node < nodes; node++ {
+		engine.Register(n.shardOf(node), n.sources[node], n.srcGates[node])
+	}
+	for node := 0; node < nodes; node++ {
+		engine.Register(n.shardOf(node), n.routers[node], n.rtrGates[node])
+	}
+	for node := 0; node < nodes; node++ {
+		if xb, ok := n.routers[node].(*router.XBRouter); ok && xb.DefersRings() {
+			// The ordered phase shares the router's gate: Quiescent
+			// covers TickOrdered, so a sleeping router's ordered
+			// sub-phase is skipped along with its Tick.
+			engine.RegisterOrdered(xb, n.rtrGates[node])
 		}
 	}
+	n.sinkPending = make([][]*router.Sink, workers)
+	counts := make([]int, workers)
+	for node := 0; node < nodes; node++ {
+		counts[n.shardOf(node)]++
+	}
+	for w := range n.sinkPending {
+		n.sinkPending[w] = make([]*router.Sink, 0, counts[w])
+	}
+	for node := 0; node < nodes; node++ {
+		w := n.shardOf(node)
+		n.sinks[node].SetDeferred(&n.sinkPending[w])
+		engine.Register(w, n.sinks[node], n.sinkGates[node])
+	}
+	// The flusher stays ungated: deferred records exist only on cycles a
+	// sink ticked, and draining empty lists is cheap.
+	engine.RegisterOrdered(sinkFlusher{n}, nil)
 	return n, nil
 }
 
-// sinkFlusher replays the shards' deferred ejection records on the
-// coordinator goroutine, in shard order. Shards are contiguous node
-// ranges and each shard ticks its sinks in node order, so the replay
-// visits sinks in exactly the sequential engine's order — the sampler,
-// checker and generator free list observe identical call sequences at
-// every worker count.
+// sinkFlusher replays the shards' deferred ejection records in the
+// ordered phase, in shard order. Shards are contiguous node ranges and
+// each shard ticks its sinks in node order, so the replay visits sinks in
+// node order — the sampler, checker and generator free list observe
+// identical call sequences at every worker count.
 type sinkFlusher struct{ n *Network }
 
-// Name implements sim.Module.
+// Name implements sim.OrderedTicker.
 func (sf sinkFlusher) Name() string { return "sink-flusher" }
 
-// Tick implements sim.Module.
-func (sf sinkFlusher) Tick(cycle int64) error {
+// TickOrdered implements sim.OrderedTicker.
+func (sf sinkFlusher) TickOrdered(cycle int64) error {
 	for w, pend := range sf.n.sinkPending {
 		for _, s := range pend {
 			s.Flush()
@@ -348,12 +325,12 @@ func (sf sinkFlusher) Tick(cycle int64) error {
 	return nil
 }
 
-// Workers returns the resolved tick worker count (1 means the sequential
-// engine).
+// Workers returns the resolved tick worker count (1 means one shard,
+// ticked by the caller).
 func (n *Network) Workers() int { return n.workers }
 
 // eventCounts merges the per-shard bus counters into the single table a
-// sequential run would have produced (see stats.MergeCounts).
+// one-worker run produces (see stats.MergeCounts).
 func (n *Network) eventCounts() [sim.NumEventTypes]int64 {
 	return stats.MergeCounts(n.buses)
 }
@@ -364,8 +341,7 @@ func (n *Network) eventCounts() [sim.NumEventTypes]int64 {
 // Each wire joins the latch shard of its producer — the module whose Tick
 // sends on it — so dirty-list enlistment on Send stays single-writer and
 // each worker latches exactly the wires its own shard wrote (see
-// sim.Engine.ConnectSharded). On a sequential engine ConnectSharded is
-// Connect.
+// sim.Engine.Connect).
 func (n *Network) wire() error {
 	topo := n.cfg.Topology
 	rcfg := n.cfg.Router
@@ -386,8 +362,8 @@ func (n *Network) wire() error {
 			// lose one — the waker is what keeps gating exact).
 			data.SetWaker(n.rtrGates[neighbor])
 			credit.SetWaker(n.rtrGates[node])
-			n.engine.ConnectSharded(n.shardOf(node), data)
-			n.engine.ConnectSharded(n.shardOf(neighbor), credit)
+			n.engine.Connect(n.shardOf(node), data)
+			n.engine.Connect(n.shardOf(neighbor), credit)
 			n.dataWires = append(n.dataWires, data)
 			n.credWires = append(n.credWires, credit)
 			if err := n.routers[node].AttachOutput(port, data, credit, rcfg.BufferDepth, false); err != nil {
@@ -403,8 +379,8 @@ func (n *Network) wire() error {
 		injCred := sim.NewLossyWire[flit.Credit](fmt.Sprintf("inject-credit %d", node))
 		// The source sends on inj, the router on injCred — both shard(node).
 		inj.SetWaker(n.rtrGates[node])
-		n.engine.ConnectSharded(n.shardOf(node), inj)
-		n.engine.ConnectSharded(n.shardOf(node), injCred)
+		n.engine.Connect(n.shardOf(node), inj)
+		n.engine.Connect(n.shardOf(node), injCred)
 		n.dataWires = append(n.dataWires, inj)
 		n.credWires = append(n.credWires, injCred)
 		if err := n.routers[node].AttachInput(local, inj, injCred); err != nil {
@@ -420,7 +396,7 @@ func (n *Network) wire() error {
 
 		// Ejection (immediate, Section 4.1).
 		eject := sim.NewWire[*flit.Flit](fmt.Sprintf("eject %d", node))
-		n.engine.ConnectSharded(n.shardOf(node), eject)
+		n.engine.Connect(n.shardOf(node), eject)
 		n.dataWires = append(n.dataWires, eject)
 		if err := n.routers[node].AttachOutput(local, eject, nil, 0, true); err != nil {
 			return err

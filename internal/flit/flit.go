@@ -8,7 +8,10 @@
 // wire), which is the α the paper monitors "through network simulation".
 package flit
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Kind distinguishes the flits of a packet.
 type Kind int
@@ -151,7 +154,7 @@ func Hamming(a, b []uint64) int {
 		if i < len(b) {
 			y = b[i]
 		}
-		d += popcount(x ^ y)
+		d += bits.OnesCount64(x ^ y)
 	}
 	return d
 }
@@ -160,19 +163,9 @@ func Hamming(a, b []uint64) int {
 func Ones(a []uint64) int {
 	d := 0
 	for _, w := range a {
-		d += popcount(w)
+		d += bits.OnesCount64(w)
 	}
 	return d
-}
-
-func popcount(x uint64) int {
-	// Hacker's Delight population count; avoids importing math/bits to
-	// keep the hot path obvious, though math/bits.OnesCount64 compiles to
-	// the same instruction.
-	x -= (x >> 1) & 0x5555555555555555
-	x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333)
-	x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0f
-	return int((x * 0x0101010101010101) >> 56)
 }
 
 // MaskPayload clears bits at and above widthBits in the last word so that

@@ -22,7 +22,7 @@ type benchFabric struct {
 func newBenchFabric(tb testing.TB, cfg Config) *benchFabric {
 	tb.Helper()
 	bus := &sim.Bus{}
-	eng := sim.NewEngine(bus)
+	eng := sim.NewEngine(1, false)
 	f := &benchFabric{engine: eng, bus: bus}
 
 	var routers [2]Router
@@ -45,8 +45,8 @@ func newBenchFabric(tb testing.TB, cfg Config) *benchFabric {
 	connect := func(from Router, outPort int, to Router) {
 		data := sim.NewWire[*flit.Flit]("data")
 		cred := sim.NewLossyWire[flit.Credit]("credit")
-		eng.Connect(data)
-		eng.Connect(cred)
+		eng.Connect(0, data)
+		eng.Connect(0, cred)
 		if err := from.AttachOutput(outPort, data, cred, cfg.BufferDepth, false); err != nil {
 			tb.Fatal(err)
 		}
@@ -60,8 +60,8 @@ func newBenchFabric(tb testing.TB, cfg Config) *benchFabric {
 	for n := 0; n < 2; n++ {
 		data := sim.NewWire[*flit.Flit]("inject")
 		cred := sim.NewLossyWire[flit.Credit]("inject-credit")
-		eng.Connect(data)
-		eng.Connect(cred)
+		eng.Connect(0, data)
+		eng.Connect(0, cred)
 		if err := routers[n].AttachInput(topology.PortLocal, data, cred); err != nil {
 			tb.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func newBenchFabric(tb testing.TB, cfg Config) *benchFabric {
 		f.sources[n] = src
 
 		eject := sim.NewWire[*flit.Flit]("eject")
-		eng.Connect(eject)
+		eng.Connect(0, eject)
 		if err := routers[n].AttachOutput(topology.PortLocal, eject, nil, 0, true); err != nil {
 			tb.Fatal(err)
 		}
@@ -81,9 +81,9 @@ func newBenchFabric(tb testing.TB, cfg Config) *benchFabric {
 			tb.Fatal(err)
 		}
 
-		eng.Register(src)
-		eng.Register(routers[n])
-		eng.Register(sink)
+		eng.Register(0, src, nil)
+		eng.Register(0, routers[n], nil)
+		eng.Register(0, sink, nil)
 	}
 	return f
 }

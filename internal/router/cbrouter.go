@@ -254,7 +254,7 @@ func (r *CBRouter) receive(cycle int64) error {
 				}
 				r.inQ[p].push(f)
 				ev := r.bus.Begin(sim.EvBufferWrite, cycle, r.node)
-				ev.Port, ev.Data = p, f.Payload
+				ev.Port, ev.VC, ev.Data = p, 0, f.Payload
 				r.bus.Publish()
 			}
 		}
@@ -409,7 +409,7 @@ func (r *CBRouter) writeStage(cycle int64) error {
 
 		f, _ := r.inQ[p].pop()
 		ev = r.bus.Begin(sim.EvBufferRead, cycle, r.node)
-		ev.Port = p
+		ev.Port, ev.VC = p, 0
 		r.bus.Publish()
 		if w := r.inCred[p]; w != nil {
 			if err := w.Send(flit.Credit{VC: 0}); err != nil {

@@ -75,7 +75,7 @@ type cbRig struct {
 func newCBRig(t *testing.T, cfg Config) *cbRig {
 	t.Helper()
 	bus := &sim.Bus{}
-	eng := sim.NewEngine(bus)
+	eng := sim.NewEngine(1, false)
 	r, err := NewCB(0, cfg, bus)
 	if err != nil {
 		t.Fatal(err)
@@ -85,8 +85,8 @@ func newCBRig(t *testing.T, cfg Config) *cbRig {
 	mkIn := func(port int) *producer {
 		w := sim.NewWire[*flit.Flit]("in")
 		c := sim.NewLossyWire[flit.Credit]("incred")
-		eng.Connect(w)
-		eng.Connect(c)
+		eng.Connect(0, w)
+		eng.Connect(0, c)
 		if err := r.AttachInput(port, w, c); err != nil {
 			t.Fatal(err)
 		}
@@ -95,8 +95,8 @@ func newCBRig(t *testing.T, cfg Config) *cbRig {
 	mkOut := func(port int) *consumer {
 		w := sim.NewWire[*flit.Flit]("out")
 		c := sim.NewLossyWire[flit.Credit]("outcred")
-		eng.Connect(w)
-		eng.Connect(c)
+		eng.Connect(0, w)
+		eng.Connect(0, c)
 		if err := r.AttachOutput(port, w, c, cfg.BufferDepth, false); err != nil {
 			t.Fatal(err)
 		}
@@ -107,11 +107,11 @@ func newCBRig(t *testing.T, cfg Config) *cbRig {
 	rig.north = mkOut(topology.PortNorth)
 	rig.east = mkOut(topology.PortEast)
 
-	eng.Register(rig.local)
-	eng.Register(rig.west)
-	eng.Register(r)
-	eng.Register(rig.north)
-	eng.Register(rig.east)
+	eng.Register(0, rig.local, nil)
+	eng.Register(0, rig.west, nil)
+	eng.Register(0, r, nil)
+	eng.Register(0, rig.north, nil)
+	eng.Register(0, rig.east, nil)
 	return rig
 }
 

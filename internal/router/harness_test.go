@@ -41,7 +41,7 @@ func newRouterForTest(t *testing.T, node int, cfg Config, bus *sim.Bus) Router {
 func newPair(t *testing.T, cfg Config) *pair {
 	t.Helper()
 	bus := &sim.Bus{}
-	eng := sim.NewEngine(bus)
+	eng := sim.NewEngine(1, false)
 	p := &pair{engine: eng, bus: bus}
 
 	for n := 0; n < 2; n++ {
@@ -51,8 +51,8 @@ func newPair(t *testing.T, cfg Config) *pair {
 	connect := func(from Router, outPort int, to Router, fromNode, toNode int) {
 		data := sim.NewWire[*flit.Flit]("data")
 		cred := sim.NewLossyWire[flit.Credit]("credit")
-		eng.Connect(data)
-		eng.Connect(cred)
+		eng.Connect(0, data)
+		eng.Connect(0, cred)
 		if err := from.AttachOutput(outPort, data, cred, cfg.BufferDepth, false); err != nil {
 			t.Fatal(err)
 		}
@@ -68,8 +68,8 @@ func newPair(t *testing.T, cfg Config) *pair {
 		// Injection.
 		data := sim.NewWire[*flit.Flit]("inject")
 		cred := sim.NewLossyWire[flit.Credit]("inject-credit")
-		eng.Connect(data)
-		eng.Connect(cred)
+		eng.Connect(0, data)
+		eng.Connect(0, cred)
 		if err := p.routers[n].AttachInput(topology.PortLocal, data, cred); err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func newPair(t *testing.T, cfg Config) *pair {
 
 		// Ejection.
 		eject := sim.NewWire[*flit.Flit]("eject")
-		eng.Connect(eject)
+		eng.Connect(0, eject)
 		if err := p.routers[n].AttachOutput(topology.PortLocal, eject, nil, 0, true); err != nil {
 			t.Fatal(err)
 		}
@@ -96,9 +96,9 @@ func newPair(t *testing.T, cfg Config) *pair {
 	}
 
 	for n := 0; n < 2; n++ {
-		eng.Register(p.sources[n])
-		eng.Register(p.routers[n])
-		eng.Register(p.sinks[n])
+		eng.Register(0, p.sources[n], nil)
+		eng.Register(0, p.routers[n], nil)
+		eng.Register(0, p.sinks[n], nil)
 	}
 	return p
 }

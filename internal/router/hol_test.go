@@ -26,7 +26,7 @@ type holRig struct {
 func newHOLRig(t *testing.T, cfg Config) *holRig {
 	t.Helper()
 	bus := &sim.Bus{}
-	eng := sim.NewEngine(bus)
+	eng := sim.NewEngine(1, false)
 	r, err := NewXB(0, cfg, bus)
 	if err != nil {
 		t.Fatal(err)
@@ -36,8 +36,8 @@ func newHOLRig(t *testing.T, cfg Config) *holRig {
 	// North: a wire exists but the downstream never grants credits.
 	north := sim.NewLossyWire[*flit.Flit]("north")
 	northCred := sim.NewLossyWire[flit.Credit]("north-credit")
-	eng.Connect(north)
-	eng.Connect(northCred)
+	eng.Connect(0, north)
+	eng.Connect(0, northCred)
 	if err := r.AttachOutput(topology.PortNorth, north, northCred, 0, false); err != nil {
 		t.Fatal(err)
 	}
@@ -46,8 +46,8 @@ func newHOLRig(t *testing.T, cfg Config) *holRig {
 	// returns credits like a healthy downstream router.
 	rig.east = sim.NewWire[*flit.Flit]("east")
 	eastCred := sim.NewLossyWire[flit.Credit]("east-credit")
-	eng.Connect(rig.east)
-	eng.Connect(eastCred)
+	eng.Connect(0, rig.east)
+	eng.Connect(0, eastCred)
 	if err := r.AttachOutput(topology.PortEast, rig.east, eastCred, 16, false); err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +56,8 @@ func newHOLRig(t *testing.T, cfg Config) *holRig {
 	// Injection.
 	inj := sim.NewWire[*flit.Flit]("inject")
 	injCred := sim.NewLossyWire[flit.Credit]("inject-credit")
-	eng.Connect(inj)
-	eng.Connect(injCred)
+	eng.Connect(0, inj)
+	eng.Connect(0, injCred)
 	if err := r.AttachInput(topology.PortLocal, inj, injCred); err != nil {
 		t.Fatal(err)
 	}
@@ -67,15 +67,15 @@ func newHOLRig(t *testing.T, cfg Config) *holRig {
 	}
 	rig.source = src
 
-	eng.Register(src)
-	eng.Register(r)
-	eng.Register(moduleFunc(func(cycle int64) error {
+	eng.Register(0, src, nil)
+	eng.Register(0, r, nil)
+	eng.Register(0, moduleFunc(func(cycle int64) error {
 		if f, ok := rig.east.Take(); ok {
 			rig.eastN++
 			return rig.eastCred.Send(flit.Credit{VC: f.VC})
 		}
 		return nil
-	}))
+	}), nil)
 	return rig
 }
 

@@ -137,14 +137,15 @@ type Sink struct {
 	data   *sim.Wire[*flit.Flit]
 	record SinkRecord
 
-	// Deferred mode (parallel networks): Tick consumes the flit and
-	// counts the ejection, but stashes the record callback's arguments
-	// and enlists the sink on the shared pending list instead of calling
-	// it — the callback feeds network-wide state (sampler, checker,
-	// counters) that must be touched by one goroutine. Flush, called on
-	// the coordinator in node order, replays the callback with identical
-	// arguments and order to the sequential engine. The stash is empty at
-	// every cycle boundary, so state capture is unaffected.
+	// Deferred mode (every network the core builds): Tick consumes the
+	// flit and counts the ejection, but stashes the record callback's
+	// arguments and enlists the sink on the shared pending list instead
+	// of calling it — the callback feeds network-wide state (sampler,
+	// checker, counters) that must be touched by one goroutine. Flush,
+	// called on the goroutine stepping the engine in node order, replays
+	// the callback with identical arguments and order at every worker
+	// count. The stash is empty at every cycle boundary, so state capture
+	// is unaffected.
 	pending   *[]*Sink
 	pendFlit  *flit.Flit
 	pendCycle int64
@@ -212,8 +213,8 @@ func (s *Sink) Tick(cycle int64) error {
 	return nil
 }
 
-// Flush delivers a deferred ejection record. Called on the coordinator
-// goroutine after the parallel tick phase.
+// Flush delivers a deferred ejection record. Called on the goroutine
+// stepping the engine, after the tick phase.
 func (s *Sink) Flush() {
 	f := s.pendFlit
 	s.pendFlit = nil

@@ -120,10 +120,10 @@ type XBRouter struct {
 	inRings  [][]*ringRef
 	outRings [][]*ringRef
 
-	// Deferred-ring mode (parallel engine): switch traversal stages its
-	// ring occupancy updates in ringOps instead of applying them, and
-	// the allocation stages that read shared ring state move to
-	// TickOrdered. See SetDeferredRings.
+	// Deferred rings (virtual-channel routers under bubble flow
+	// control): switch traversal stages its ring occupancy updates in
+	// ringOps instead of applying them, and the allocation stages that
+	// read shared ring state move to TickOrdered. See TickOrdered.
 	deferRings bool
 	ringOps    []ringOp
 
@@ -168,6 +168,10 @@ func NewXB(node int, cfg Config, bus *sim.Bus) (*XBRouter, error) {
 		saOut:   make([]picker, cfg.Ports),
 		vaIn:    make([]picker, cfg.Ports),
 		vaOut:   make([]picker, cfg.Ports),
+	}
+	if cfg.Kind == VirtualChannel && cfg.Bubble {
+		r.deferRings = true
+		r.ringOps = make([]ringOp, 0, 2*cfg.Ports)
 	}
 	r.inRings = make([][]*ringRef, cfg.Ports)
 	r.outRings = make([][]*ringRef, cfg.Ports)
@@ -312,12 +316,12 @@ func (r *XBRouter) Tick(cycle int64) error {
 		return err
 	}
 	if r.deferRings {
-		// Parallel engine: VC allocation reads shared ring occupancy,
-		// so it runs in TickOrdered. The speculative pipeline's switch
-		// allocation consumes this cycle's VC grants and moves with it;
-		// the non-speculative one reads only router-local credits and
-		// stays in the parallel phase, preserving the sequential
-		// per-node stage (and event) order.
+		// VC allocation reads shared ring occupancy, so it runs in
+		// TickOrdered. The speculative pipeline's switch allocation
+		// consumes this cycle's VC grants and moves with it; the
+		// non-speculative one reads only router-local credits and stays
+		// in the tick phase, preserving the per-node stage (and event)
+		// order.
 		if r.cfg.Speculative {
 			return nil
 		}
@@ -339,33 +343,20 @@ func (r *XBRouter) Tick(cycle int64) error {
 	return nil
 }
 
-// ringOp is a ring occupancy update staged by switch traversal in
-// deferred-ring mode, applied at the head of TickOrdered.
+// ringOp is a ring occupancy update staged by switch traversal on a
+// router that defers its rings, applied at the head of TickOrdered.
 type ringOp struct {
 	ref   *ringRef
 	delta int
 }
 
-// SetDeferredRings switches the router into the parallel engine's
-// two-phase tick: Tick (parallel phase) stages its ring occupancy
-// updates instead of applying them, and TickOrdered — which the engine
-// runs on one goroutine, in ascending node order, after every router's
-// Tick — applies them and runs VC allocation. Because each router's
-// staged releases are applied immediately before its own VC allocation,
-// the global order of ring reads and writes is exactly the sequential
-// engine's (router i's switch-traversal releases, then router i's VC
-// allocation, for i ascending), so results are bit-identical. Only
-// meaningful for virtual-channel routers under bubble flow control; other
-// configurations never share state between routers mid-cycle.
-func (r *XBRouter) SetDeferredRings(on bool) {
-	r.deferRings = on
-	if on && r.ringOps == nil {
-		r.ringOps = make([]ringOp, 0, 2*r.cfg.Ports)
-	}
-}
+// DefersRings reports whether the router runs its ring-reading stages in
+// TickOrdered (virtual-channel routers under bubble flow control), which
+// the engine must then call every cycle after the tick phase.
+func (r *XBRouter) DefersRings() bool { return r.deferRings }
 
 // ringAdd applies a ring occupancy update, or stages it when the router
-// is in deferred-ring mode.
+// defers its rings.
 func (r *XBRouter) ringAdd(ref *ringRef, delta int) {
 	if r.deferRings {
 		r.ringOps = append(r.ringOps, ringOp{ref, delta})
@@ -374,17 +365,24 @@ func (r *XBRouter) ringAdd(ref *ringRef, delta int) {
 	ref.ring.Add(ref.idx, delta)
 }
 
-// TickOrdered implements sim.OrderedTicker for deferred-ring mode: apply
-// the staged ring updates, then run the allocation stages that read
-// shared ring state. Outside deferred-ring mode it is never registered
-// and does nothing.
+// TickOrdered implements sim.OrderedTicker for routers that defer their
+// rings (virtual-channel routers under bubble flow control, whose ring
+// occupancy is shared between routers mid-cycle): apply the ring updates
+// Tick staged, then run the allocation stages that read shared ring
+// state. The engine runs TickOrdered on one goroutine, in ascending node
+// order, after every router's Tick. Because each router's staged
+// releases are applied immediately before its own VC allocation, the
+// global order of ring reads and writes is fixed — router i's
+// switch-traversal releases, then router i's VC allocation, for i
+// ascending — at every worker count. Other routers are never registered
+// for the ordered phase, and for them TickOrdered does nothing.
 func (r *XBRouter) TickOrdered(cycle int64) error {
 	for i := range r.ringOps {
 		op := r.ringOps[i]
 		op.ref.ring.Add(op.ref.idx, op.delta)
 	}
 	r.ringOps = r.ringOps[:0]
-	if !r.deferRings || r.cfg.Kind != VirtualChannel {
+	if !r.deferRings {
 		return nil
 	}
 	r.vcAllocation(cycle)

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync/atomic"
 )
@@ -17,157 +18,171 @@ type Module interface {
 	Tick(cycle int64) error
 }
 
-// Engine drives a set of modules and wires cycle by cycle. By default it
-// ticks every module on the caller's goroutine in registration order; see
-// SetParallel for the sharded parallel mode (parallel.go).
+// OrderedTicker is work that runs after every shard's tick phase, on the
+// caller's goroutine, in RegisterOrdered order. A module whose cycle is
+// split in two registers with both Register and RegisterOrdered, and
+// keeps in TickOrdered the (small) part of its cycle that must observe
+// other modules' same-cycle effects in a defined order.
+type OrderedTicker interface {
+	// Name identifies the module in diagnostics.
+	Name() string
+	// TickOrdered runs the module's ordered sub-phase for the cycle.
+	TickOrdered(cycle int64) error
+}
+
+// Engine drives a set of modules and wires cycle by cycle. Modules are
+// sharded statically across workers; worker 0 is the goroutine calling
+// Step, so a one-worker engine runs every cycle on the caller with no
+// goroutine and no barrier. Each Step runs four phases:
+//
+//  1. tick — every shard's modules tick in registration order, one
+//     worker per shard;
+//  2. ordered — RegisterOrdered modules run TickOrdered on the caller,
+//     in registration order, for the few sub-stages that read state
+//     shared between modules;
+//  3. latch — each worker latches the dirty wires of its own shard
+//     (wires join their producer's shard in Connect);
+//  4. join — the caller reports the cycle's latch errors in connection
+//     order.
+//
+// Determinism: shard assignment is static and value-free (no scheduling
+// decision ever feeds back into simulation state), each module is ticked
+// by exactly one worker, and the first error of a cycle is the failing
+// module with the lowest registration index — so results and errors are
+// bit-identical at every worker count. See DESIGN.md "Parallel
+// execution".
 type Engine struct {
-	cycle   int64
-	modules []Module
-	bus     *Bus
+	cycle int64
+	pool  *pool
 
-	// Wire latching (see latch.go). coord is the tracker for wires
-	// connected without a shard — the only tracker on a sequential
-	// engine; parallel engines additionally keep one tracker per worker
-	// in the pool. alwaysLatch holds Latchables that cannot dirty-track
-	// themselves and are latched every cycle. latchSeq numbers
-	// connections globally so latch errors sort into connection order
-	// regardless of which shard latched them.
-	coord       latchTracker
-	alwaysLatch []seqLatch
-	latchSeq    int
-	latchErrs   []seqError
+	// ordered is the ordered phase. nextIdx numbers registrations
+	// globally so a cycle's first error is chosen deterministically;
+	// latchSeq numbers connections globally so latch errors sort into
+	// connection order regardless of which shard latched them.
+	ordered   []orderedEntry
+	nextIdx   int
+	latchSeq  int
+	latchErrs []seqError
 
-	// Parallel mode (SetParallel): sharded modules tick on the worker
-	// pool, ordered modules run their TickOrdered afterwards on the
-	// caller's goroutine, then the modules slice (the sequential phase)
-	// and the wire latch. nextIdx numbers sharded registrations globally
-	// so a cycle's first error is chosen deterministically.
-	pool    *pool
-	ordered []orderedEntry
-	nextIdx int
-
-	// Activity gating (see gate.go). moduleGates is index-aligned with
-	// modules; nil entries tick unconditionally. gateWords holds one
-	// shared atomic word per 64 gates for the wake bitmap.
-	gating      bool
-	gates       []*Gate
-	gateWords   []*atomic.Uint64
-	moduleGates []*Gate
+	// Activity gating (see gate.go). gateWords holds one shared atomic
+	// word per 64 gates for the wake bitmap.
+	gating    bool
+	gates     []*Gate
+	gateWords []*atomic.Uint64
 }
 
-// NewEngine returns an engine publishing on the given bus. A nil bus is
-// replaced with a fresh one.
-func NewEngine(bus *Bus) *Engine {
-	if bus == nil {
-		bus = &Bus{}
-	}
-	return &Engine{bus: bus}
+// shardModule pairs a module with its global registration index and its
+// activity gate (nil when ungated).
+type shardModule struct {
+	m   Module
+	idx int
+	g   *Gate
 }
 
-// Bus returns the engine's event bus.
-func (e *Engine) Bus() *Bus { return e.bus }
+// orderedEntry pairs an ordered-phase module with its activity gate (nil
+// when ungated).
+type orderedEntry struct {
+	m OrderedTicker
+	g *Gate
+}
+
+// NewEngine returns an engine with the given number of tick workers
+// (values below 1 mean 1). With gating, modules registered with a gate
+// are skipped while quiescent (see gate.go); without it NewGate returns
+// nil and every module ticks every cycle.
+func NewEngine(workers int, gating bool) *Engine {
+	return &Engine{pool: newPool(max(workers, 1)), gating: gating}
+}
 
 // Cycle returns the current cycle number (the cycle the next Step will
 // execute).
 func (e *Engine) Cycle() int64 { return e.cycle }
 
-// Register adds a module; modules tick in registration order.
-func (e *Engine) Register(m Module) {
-	if m != nil {
-		e.modules = append(e.modules, m)
-		e.moduleGates = append(e.moduleGates, nil)
-	}
+// Register adds a module to shard's tick phase, after the shard's
+// earlier registrations. shard must be in [0, workers); the caller owns
+// the sharding policy and must ensure no two shards share mutable state.
+// A nil gate ticks the module every cycle.
+func (e *Engine) Register(shard int, m Module, g *Gate) {
+	p := e.pool
+	p.shards[shard] = append(p.shards[shard], shardModule{m: m, idx: e.nextIdx, g: g})
+	e.nextIdx++
 }
 
-// seqLatch is a non-dirty-trackable Latchable with its connection order.
-type seqLatch struct {
-	w   Latchable
-	seq int
+// RegisterOrdered adds a module to the ordered phase: its TickOrdered
+// runs on the caller after every shard's tick phase, in RegisterOrdered
+// call order. The gate may be the one the module ticks under: the Quiescent contract
+// covers TickOrdered, so a sleeping module's ordered sub-phase is skipped
+// along with its Tick.
+func (e *Engine) RegisterOrdered(m OrderedTicker, g *Gate) {
+	e.ordered = append(e.ordered, orderedEntry{m: m, g: g})
 }
 
-// Connect adds a wire (or any Latchable) to the engine's latch phase. On
-// a parallel engine, the wire is latched by the coordinator; use
-// ConnectSharded to have a worker latch it.
-func (e *Engine) Connect(w Latchable) { e.connectTo(&e.coord, w) }
-
-// ConnectSharded adds a wire to the given shard's latch phase, latched by
-// that shard's worker. The shard must be the one whose modules send on
-// the wire (the producer side), so dirty-list enlistment stays
-// single-writer. Out-of-range shards and a sequential engine fall back to
-// Connect, so callers may shard unconditionally.
-func (e *Engine) ConnectSharded(shard int, w Latchable) {
-	if e.pool == nil || shard < 0 || shard >= len(e.pool.trackers) {
-		e.Connect(w)
-		return
-	}
-	e.connectTo(e.pool.trackers[shard], w)
-}
-
-func (e *Engine) connectTo(t *latchTracker, w Latchable) {
-	if w == nil {
-		return
-	}
-	seq := e.latchSeq
+// Connect adds a wire to shard's latch phase. The shard must be the one
+// whose modules send on the wire (the producer side), so dirty-list
+// enlistment stays single-writer.
+func (e *Engine) Connect(shard int, w Latchable) {
+	t := e.pool.trackers[shard]
+	w.bindTracker(t, e.latchSeq)
+	t.bound++
 	e.latchSeq++
-	if dw, ok := w.(dirtyLatchable); ok {
-		dw.bindTracker(t, seq)
-		t.bound++
-		return
-	}
-	e.alwaysLatch = append(e.alwaysLatch, seqLatch{w: w, seq: seq})
 }
 
-// Step executes one cycle: every module ticks, then every wire latches.
-// A module panic is recovered into an error naming the module and cycle,
-// so one corrupted module aborts the run with a diagnostic instead of
-// tearing down the process (or a whole parameter sweep).
+// Step executes one cycle. A module panic is recovered into an error
+// naming the module and cycle, so one corrupted module aborts the run
+// with a diagnostic instead of tearing down the process (or a whole
+// parameter sweep).
 func (e *Engine) Step() error {
-	if e.pool != nil {
-		return e.stepParallel()
+	p := e.pool
+	if len(p.shards) > 1 && !p.started {
+		p.start()
+		// Stop the pool's goroutines when the engine is collected. The
+		// pool holds no pointer back to the engine, so unreachability of
+		// the engine implies the pool is only reachable from here.
+		runtime.SetFinalizer(e, func(e *Engine) { e.pool.shutdown() })
 	}
+	// Drain wake bits into awake flags before releasing the workers:
+	// the caller is the only goroutine running here, so the drain races
+	// nothing, and the epoch barrier publishes the flags to the workers.
 	if e.gating {
 		e.drainWakes()
-		for i, m := range e.modules {
-			g := e.moduleGates[i]
-			if g != nil && !g.awake {
-				continue
-			}
-			if err := e.tickModule(m); err != nil {
-				return err
-			}
-			if g != nil && g.q.Quiescent() {
-				g.awake = false
-			}
+	}
+	if err := p.runPhase(phaseTick, e.cycle); err != nil {
+		return err
+	}
+	for _, oe := range e.ordered {
+		// A gate put to sleep during this cycle's tick phase is safe to
+		// skip here too: Quiescent covers TickOrdered, and the tick-phase
+		// barrier publishes the workers' awake writes.
+		if oe.g != nil && !oe.g.awake {
+			continue
 		}
-	} else {
-		for _, m := range e.modules {
-			if err := e.tickModule(m); err != nil {
-				return err
-			}
+		if err := tickOrderedModule(oe.m, e.cycle); err != nil {
+			return err
+		}
+		// Work the ordered sub-phase finished (a router's staged ring
+		// updates) kept the module awake through the tick phase; let it
+		// sleep now rather than tick idle next cycle. The workers are
+		// parked, so the write races nothing.
+		if oe.g != nil && oe.g.q.Quiescent() {
+			oe.g.awake = false
 		}
 	}
-	e.coord.latchAll()
+	// Ordered-phase modules may have sent on any shard's wires
+	// (enlisting them on that shard's tracker) — safe, the workers are
+	// parked between phases.
+	_ = p.runPhase(phaseLatch, e.cycle)
 	err := e.finishLatch()
 	e.cycle++
 	return err
 }
 
-// finishLatch latches the always-latch list and joins every tracker's
-// latch errors in connection order — the order the pre-dirty-tracking
-// engine reported them in, identical at every worker count. The happy
-// path (no errors) is allocation-free.
+// finishLatch joins every tracker's latch errors in connection order,
+// identical at every worker count. The happy path (no errors) is
+// allocation-free.
 func (e *Engine) finishLatch() error {
 	errs := e.latchErrs[:0]
-	if e.pool != nil {
-		for _, t := range e.pool.trackers {
-			errs = append(errs, t.errs...)
-		}
-	}
-	errs = append(errs, e.coord.errs...)
-	for _, al := range e.alwaysLatch {
-		if err := al.w.Latch(); err != nil {
-			errs = append(errs, seqError{seq: al.seq, err: err})
-		}
+	for _, t := range e.pool.trackers {
+		errs = append(errs, t.errs...)
 	}
 	e.latchErrs = errs[:0]
 	if len(errs) == 0 {
@@ -181,19 +196,6 @@ func (e *Engine) finishLatch() error {
 	return errors.Join(wrapped...)
 }
 
-// tickModule runs one module's Tick with panic recovery.
-func (e *Engine) tickModule(m Module) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("sim: cycle %d: module %s: panic: %v", e.cycle, m.Name(), r)
-		}
-	}()
-	if err := m.Tick(e.cycle); err != nil {
-		return fmt.Errorf("sim: cycle %d: module %s: %w", e.cycle, m.Name(), err)
-	}
-	return nil
-}
-
 // Run executes n cycles, stopping at the first error.
 func (e *Engine) Run(n int64) error {
 	for i := int64(0); i < n; i++ {
@@ -204,18 +206,29 @@ func (e *Engine) Run(n int64) error {
 	return nil
 }
 
-// RunUntil steps the engine until done returns true or the cycle limit is
-// reached. It returns the number of cycles executed and an error if the
-// limit was hit or a step failed.
-func (e *Engine) RunUntil(done func() bool, limit int64) (int64, error) {
-	start := e.cycle
-	for !done() {
-		if e.cycle-start >= limit {
-			return e.cycle - start, fmt.Errorf("sim: cycle limit %d reached without completion", limit)
+// tickModule runs one module's Tick with panic recovery.
+func tickModule(m Module, cycle int64) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("sim: cycle %d: module %s: panic: %v", cycle, m.Name(), r)
 		}
-		if err := e.Step(); err != nil {
-			return e.cycle - start, err
-		}
+	}()
+	if err := m.Tick(cycle); err != nil {
+		return fmt.Errorf("sim: cycle %d: module %s: %w", cycle, m.Name(), err)
 	}
-	return e.cycle - start, nil
+	return nil
+}
+
+// tickOrderedModule runs one module's ordered sub-phase with panic
+// recovery.
+func tickOrderedModule(m OrderedTicker, cycle int64) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("sim: cycle %d: module %s: ordered phase: panic: %v", cycle, m.Name(), r)
+		}
+	}()
+	if err := m.TickOrdered(cycle); err != nil {
+		return fmt.Errorf("sim: cycle %d: module %s: ordered phase: %w", cycle, m.Name(), err)
+	}
+	return nil
 }

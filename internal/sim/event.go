@@ -8,6 +8,11 @@
 // to these events so when an event occurs during the execution, it triggers
 // the specific power model, which calculates and accumulates the energy
 // consumed" (paper Section 2.1); the hook point here is Bus.Subscribe.
+//
+// There is one cycle kernel for every worker count: the engine shards
+// modules across workers, and worker 0 is the goroutine calling Step, so
+// one worker is a single shard ticked by the caller with no goroutine and
+// no barrier (see Engine).
 package sim
 
 import "fmt"
@@ -162,12 +167,14 @@ func (b *Bus) SubscribeType(t EventType, l Listener) {
 
 // Begin starts an event: it clears the bus's scratch slot, so no field of
 // the previous event survives, stamps it with the type, cycle and node,
-// and returns it for the publisher to fill in the remaining fields before
-// calling Publish.
+// marks VC and Winner as not applicable (-1), and returns it for the
+// publisher to fill in the remaining fields before calling Publish.
 func (b *Bus) Begin(t EventType, cycle int64, node int) *Event {
 	e := &b.scratch
+	// Zero, then stamp: assigning a composite literal with non-zero
+	// fields would build it on the stack and copy it over the slot.
 	*e = Event{}
-	e.Type, e.Cycle, e.Node = t, cycle, node
+	e.Type, e.Cycle, e.Node, e.VC, e.Winner = t, cycle, node, -1, -1
 	return e
 }
 

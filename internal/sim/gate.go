@@ -33,8 +33,8 @@ import (
 //
 // Wake-versus-sleep ordering makes lost wakes impossible: Wake sets a bit
 // in a shared atomic word at any time, but the bit is only drained into
-// the gate's awake flag by the coordinator at the start of a Step, while
-// the workers are parked (the pool's epoch/done atomics carry the
+// the gate's awake flag by the caller at the start of a Step, while the
+// other workers are parked (the pool's epoch/done atomics carry the
 // happens-before). The owner clears awake only after a tick that ended
 // quiescent, and clearing awake never touches the bitmap — so a wake
 // raised in the same cycle a module goes to sleep is simply observed at
@@ -58,7 +58,7 @@ type Gated interface {
 }
 
 // Gate is one module's activity latch. The awake flag is owned by the
-// goroutine that ticks the module (plus the coordinator during the
+// goroutine that ticks the module (plus the caller during the
 // between-cycles drain); the wake bit lives in a word shared with up to
 // 63 other gates and may be set from any goroutine.
 type Gate struct {
@@ -89,12 +89,6 @@ func (g *Gate) Wake() {
 	}
 }
 
-// EnableGating switches the engine into activity-gated mode: modules
-// registered through the *Gated variants are skipped while quiescent.
-// Call before creating gates or registering modules. Without it, NewGate
-// returns nil and every module ticks every cycle.
-func (e *Engine) EnableGating() { e.gating = true }
-
 // NewGate allocates a gate for the given module, initially awake. Returns
 // nil on an ungated engine, which every consumer of a Gate tolerates.
 func (e *Engine) NewGate(q Gated) *Gate {
@@ -113,8 +107,8 @@ func (e *Engine) NewGate(q Gated) *Gate {
 }
 
 // drainWakes moves every raised wake bit into its gate's awake flag.
-// Called by the coordinator at the start of a Step, before any worker is
-// released, so it is the only writer racing nothing.
+// Runs on the calling goroutine at the start of a Step, before any
+// worker is released, so it is the only writer racing nothing.
 func (e *Engine) drainWakes() {
 	for wi, w := range e.gateWords {
 		raised := w.Swap(0)
@@ -124,39 +118,4 @@ func (e *Engine) drainWakes() {
 			raised &= raised - 1
 		}
 	}
-}
-
-// RegisterGated is Register for a module with a gate. A nil gate degrades
-// to plain registration (the module ticks every cycle).
-func (e *Engine) RegisterGated(m Gated, g *Gate) {
-	if m == nil {
-		return
-	}
-	e.modules = append(e.modules, m)
-	e.moduleGates = append(e.moduleGates, g)
-}
-
-// RegisterShardedGated is RegisterSharded for a module with a gate; see
-// RegisterGated for nil-gate semantics.
-func (e *Engine) RegisterShardedGated(shard int, m Gated, g *Gate) {
-	if m == nil {
-		return
-	}
-	if e.pool == nil || shard < 0 || shard >= len(e.pool.shards) {
-		e.RegisterGated(m, g)
-		return
-	}
-	e.pool.shards[shard] = append(e.pool.shards[shard], shardModule{m: m, idx: e.nextIdx, g: g})
-	e.nextIdx++
-}
-
-// RegisterOrderedGated is RegisterOrdered for a module with a gate: when
-// the gate is asleep the ordered sub-phase is skipped along with Tick.
-// The Quiescent contract covers TickOrdered, so a skipped ordered phase
-// is provably a no-op.
-func (e *Engine) RegisterOrderedGated(m OrderedTicker, g *Gate) {
-	if m == nil || e.pool == nil {
-		return
-	}
-	e.ordered = append(e.ordered, orderedEntry{m: m, g: g})
 }

@@ -39,14 +39,13 @@ func (m *gatedMod) Tick(cycle int64) error {
 func (m *gatedMod) Quiescent() bool { return m.work == 0 }
 
 func TestGatingSkipsQuiescentModules(t *testing.T) {
-	e := NewEngine(nil)
-	e.EnableGating()
+	e := NewEngine(1, true)
 	wire := NewWire[int]("in")
-	e.Connect(wire)
+	e.Connect(0, wire)
 	idle := newGatedMod("idle", nil)
-	e.RegisterGated(idle, e.NewGate(idle))
+	e.Register(0, idle, e.NewGate(idle))
 	busy := newTestMod("busy") // ungated: must tick every cycle
-	e.Register(busy)
+	e.Register(0, busy, nil)
 	if err := e.Run(10); err != nil {
 		t.Fatal(err)
 	}
@@ -61,13 +60,12 @@ func TestGatingSkipsQuiescentModules(t *testing.T) {
 }
 
 func TestGatingWireSendWakesConsumer(t *testing.T) {
-	e := NewEngine(nil)
-	e.EnableGating()
+	e := NewEngine(1, true)
 	wire := NewWire[int]("in")
-	e.Connect(wire)
+	e.Connect(0, wire)
 	m := newGatedMod("consumer", wire)
 	g := e.NewGate(m)
-	e.RegisterGated(m, g)
+	e.Register(0, m, g)
 	wire.SetWaker(g)
 	if err := e.Run(5); err != nil {
 		t.Fatal(err)
@@ -96,18 +94,17 @@ func TestGatingNoLostWakeOnSleepCycle(t *testing.T) {
 	// A producer sends to a consumer in the same cycle the consumer goes
 	// to sleep: the wake bit must survive the sleep and the value must be
 	// consumed, never dropped.
-	e := NewEngine(nil)
-	e.EnableGating()
+	e := NewEngine(1, true)
 	wire := NewWire[int]("in")
-	e.Connect(wire)
+	e.Connect(0, wire)
 	consumer := newGatedMod("consumer", wire)
 	cg := e.NewGate(consumer)
-	e.RegisterGated(consumer, cg)
+	e.Register(0, consumer, cg)
 	wire.SetWaker(cg)
 	// The producer sends one value per cycle for 3 cycles, starting at
 	// cycle 2 — after the consumer has already gone quiescent.
 	producer := newTestMod("producer")
-	e.Register(producer)
+	e.Register(0, producer, nil)
 	sent := 0
 	for cycle := int64(0); cycle < 12; cycle++ {
 		if cycle >= 2 && cycle < 5 {
@@ -126,15 +123,11 @@ func TestGatingNoLostWakeOnSleepCycle(t *testing.T) {
 }
 
 func TestGatingParallelMatchesSequential(t *testing.T) {
-	// The same module graph under the sequential gated engine and the
-	// parallel gated engine at several worker counts must tick the same
-	// modules the same number of times and consume identical values.
+	// The same module graph under the gated engine at one worker and at
+	// several worker counts must tick the same modules the same number
+	// of times and consume identical values.
 	build := func(workers int) (*Engine, []*gatedMod, []*Wire[int]) {
-		e := NewEngine(nil)
-		if workers > 1 {
-			e.SetParallel(workers)
-		}
-		e.EnableGating()
+		e := NewEngine(workers, true)
 		mods := make([]*gatedMod, 8)
 		wires := make([]*Wire[int], 8)
 		for i := range mods {
@@ -143,8 +136,8 @@ func TestGatingParallelMatchesSequential(t *testing.T) {
 			g := e.NewGate(mods[i])
 			wires[i].SetWaker(g)
 			shard := i * workers / len(mods)
-			e.ConnectSharded(shard, wires[i])
-			e.RegisterShardedGated(shard, mods[i], g)
+			e.Connect(shard, wires[i])
+			e.Register(shard, mods[i], g)
 		}
 		return e, mods, wires
 	}
@@ -188,14 +181,49 @@ func TestGatingParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// stagedMod leaves work staged at the end of its first Tick and finishes
+// it in TickOrdered, like a router's deferred ring updates.
+type stagedMod struct {
+	testMod
+	staged bool
+}
+
+func (m *stagedMod) Tick(cycle int64) error {
+	m.staged = m.ticks == 0
+	return m.testMod.Tick(cycle)
+}
+
+func (m *stagedMod) TickOrdered(cycle int64) error {
+	m.staged = false
+	return nil
+}
+
+func (m *stagedMod) Quiescent() bool { return !m.staged }
+
+// TestGatingOrderedPhaseSleeps: a module whose pending work finishes in
+// the ordered phase sleeps right after it, not after one more idle tick.
+func TestGatingOrderedPhaseSleeps(t *testing.T) {
+	e := NewEngine(1, true)
+	m := &stagedMod{testMod: *newTestMod("staged")}
+	g := e.NewGate(m)
+	e.Register(0, m, g)
+	e.RegisterOrdered(m, g)
+	if err := e.Run(5); err != nil {
+		t.Fatal(err)
+	}
+	if m.ticks != 1 {
+		t.Errorf("module ticked %d times, want 1", m.ticks)
+	}
+}
+
 func TestGatingDisabledNewGateReturnsNil(t *testing.T) {
-	e := NewEngine(nil)
+	e := NewEngine(1, false)
 	m := newGatedMod("m", nil)
 	if g := e.NewGate(m); g != nil {
 		t.Fatal("NewGate on an ungated engine must return nil")
 	}
 	// Nil gates degrade to always-tick registration.
-	e.RegisterGated(m, nil)
+	e.Register(0, m, nil)
 	var nilGate *Gate
 	nilGate.Wake() // must not panic
 	if err := e.Run(4); err != nil {

@@ -8,47 +8,37 @@ package sim
 // per-shard dirty lists: Wire.Send enlists the wire with its tracker, and
 // a latched wire stays enlisted only while it still holds an unconsumed
 // value (so drop accounting and strict-wire diagnostics fire exactly as
-// an every-cycle latch would). In parallel mode each worker owns the
-// tracker of the wires its shard's modules send on, making the latch
-// phase itself parallel; the sequential engine uses a single tracker.
-
-// dirtyLatchable is the private contract between the engine and Wire[T]:
-// a Latchable that can enlist itself on Send and report, at latch time,
-// whether it must stay on the dirty list. Latchables that do not
-// implement it (none in this repository) are latched every cycle.
-type dirtyLatchable interface {
-	Latchable
-	bindTracker(t *latchTracker, seq int)
-	latchArmed() (still bool, seq int, err error)
-}
+// an every-cycle latch would). Each worker owns the tracker of the wires
+// its shard's modules send on, making the latch phase itself parallel.
 
 // seqError is a latch error tagged with the wire's connection sequence,
-// so errors from concurrently-latched shards can be reassembled into the
-// exact order the sequential engine reports them in.
+// so errors from concurrently-latched shards can be reassembled into
+// connection order.
 type seqError struct {
 	seq int
 	err error
 }
 
-// latchTracker is one shard's dirty list. In parallel mode it is written
-// (enlist) only by the shard's worker during the tick phase — or by the
-// coordinator between phases — and drained (latchAll) only by that same
-// worker during the latch phase; the pool's epoch barrier orders the two.
+// latchTracker is one shard's dirty list. It is written (enlist) only by
+// the shard's worker during the tick phase — or by the caller in the
+// ordered phase, while the other workers are parked — and drained
+// (latchAll) only by the shard's worker during the latch phase; the
+// pool's epoch barrier orders the two.
 type latchTracker struct {
 	// bound counts wires bound to this tracker; the dirty list is sized
 	// to it on first use so steady-state enlisting never allocates.
 	bound int
-	dirty []dirtyLatchable
+	dirty []Latchable
 	// errs holds the latch errors of the most recent latchAll, for the
-	// coordinator to collect after the barrier. Empty on the happy path.
+	// caller to collect after the barrier. Empty on the happy path.
 	errs []seqError
 }
 
 // enlist adds a wire to the dirty list. The wire guarantees it is not
 // already on it (the armed flag).
-func (t *latchTracker) enlist(w dirtyLatchable) {
+func (t *latchTracker) enlist(w Latchable) {
 	if t.dirty == nil && t.bound > 0 {
-		t.dirty = make([]dirtyLatchable, 0, t.bound)
+		t.dirty = make([]Latchable, 0, t.bound)
 	}
 	t.dirty = append(t.dirty, w)
 }

@@ -36,7 +36,7 @@ func (m *testMod) Tick(cycle int64) error {
 }
 
 // orderedMod records the order in which TickOrdered calls interleave with
-// the parallel phase, via a log owned by the coordinator goroutine.
+// the tick phase, via a log owned by the calling goroutine.
 type orderedMod struct {
 	testMod
 	ordered int64
@@ -50,16 +50,13 @@ func (m *orderedMod) TickOrdered(cycle int64) error {
 }
 
 func TestParallelStepTicksEveryModuleOnce(t *testing.T) {
-	for _, workers := range []int{2, 3, 7} {
-		e := NewEngine(nil)
-		e.SetParallel(workers)
+	for _, workers := range []int{1, 2, 3, 7} {
+		e := NewEngine(workers, false)
 		mods := make([]*testMod, 16)
 		for i := range mods {
 			mods[i] = newTestMod("m")
-			e.RegisterSharded(i*workers/len(mods), mods[i])
+			e.Register(i*workers/len(mods), mods[i], nil)
 		}
-		seq := newTestMod("seq")
-		e.Register(seq)
 		const cycles = 50
 		for i := 0; i < cycles; i++ {
 			if err := e.Step(); err != nil {
@@ -72,9 +69,6 @@ func TestParallelStepTicksEveryModuleOnce(t *testing.T) {
 					workers, i, m.ticks, m.last, cycles)
 			}
 		}
-		if seq.ticks != cycles {
-			t.Fatalf("workers=%d: sequential module ticked %d times, want %d", workers, seq.ticks, cycles)
-		}
 		if e.Cycle() != cycles {
 			t.Fatalf("workers=%d: cycle = %d, want %d", workers, e.Cycle(), cycles)
 		}
@@ -82,16 +76,15 @@ func TestParallelStepTicksEveryModuleOnce(t *testing.T) {
 }
 
 func TestParallelOrderedPhaseRunsInRegistrationOrder(t *testing.T) {
-	e := NewEngine(nil)
-	e.SetParallel(4)
+	e := NewEngine(4, false)
 	var log []string
 	names := []string{"a", "b", "c", "d", "e"}
 	for i, name := range names {
 		m := &orderedMod{log: &log}
 		m.name = name
 		m.failAt, m.panicAt = -1, -1
-		e.RegisterSharded(i%4, m)
-		e.RegisterOrdered(m)
+		e.Register(i%4, m, nil)
+		e.RegisterOrdered(m, nil)
 	}
 	const cycles = 20
 	for i := 0; i < cycles; i++ {
@@ -112,12 +105,11 @@ func TestParallelOrderedPhaseRunsInRegistrationOrder(t *testing.T) {
 
 // TestParallelFirstErrorDeterministic arms failures on three shards in the
 // same cycle and checks the reported error is always the one from the
-// lowest registration index — the module the sequential engine would have
-// failed on first — across repeated runs.
+// lowest registration index — the module a one-worker engine fails on
+// first — across repeated runs.
 func TestParallelFirstErrorDeterministic(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
-		e := NewEngine(nil)
-		e.SetParallel(4)
+		e := NewEngine(4, false)
 		want := errors.New("boom-first")
 		for i := 0; i < 8; i++ {
 			m := newTestMod("m")
@@ -129,7 +121,7 @@ func TestParallelFirstErrorDeterministic(t *testing.T) {
 				m.failAt = 3
 				m.failErr = want
 			}
-			e.RegisterSharded(i/2, m)
+			e.Register(i/2, m, nil)
 		}
 		var err error
 		for i := 0; i < 10 && err == nil; i++ {
@@ -142,12 +134,11 @@ func TestParallelFirstErrorDeterministic(t *testing.T) {
 }
 
 func TestParallelPanicRecovered(t *testing.T) {
-	e := NewEngine(nil)
-	e.SetParallel(2)
+	e := NewEngine(2, false)
 	m := newTestMod("victim")
 	m.panicAt = 2
-	e.RegisterSharded(0, m)
-	e.RegisterSharded(1, newTestMod("bystander"))
+	e.Register(0, m, nil)
+	e.Register(1, newTestMod("bystander"), nil)
 	var err error
 	for i := 0; i < 5 && err == nil; i++ {
 		err = e.Step()
@@ -161,17 +152,15 @@ func TestParallelPanicRecovered(t *testing.T) {
 // heap allocations per cycle: the barrier is atomics only and error
 // slots are preallocated.
 func TestParallelStepZeroAlloc(t *testing.T) {
-	e := NewEngine(nil)
-	e.SetParallel(4)
+	e := NewEngine(4, false)
 	var log []string
 	for i := 0; i < 8; i++ {
 		m := &orderedMod{log: &log}
 		m.name = "m"
 		m.failAt, m.panicAt = -1, -1
-		e.RegisterSharded(i/2, m)
-		e.RegisterOrdered(m)
+		e.Register(i/2, m, nil)
+		e.RegisterOrdered(m, nil)
 	}
-	e.Register(newTestMod("seq"))
 	for i := 0; i < 10; i++ {
 		if err := e.Step(); err != nil {
 			t.Fatal(err)
@@ -189,20 +178,23 @@ func TestParallelStepZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSequentialEngineUnchanged checks SetParallel(1) and sharded
-// registration on a sequential engine degrade to the plain path.
-func TestSequentialEngineUnchanged(t *testing.T) {
-	e := NewEngine(nil)
-	e.SetParallel(1) // below the threshold: stays sequential
-	if e.Parallel() != 1 {
-		t.Fatalf("Parallel() = %d after SetParallel(1), want 1", e.Parallel())
-	}
-	m := newTestMod("m")
-	e.RegisterSharded(3, m) // falls back to Register
-	if err := e.Step(); err != nil {
-		t.Fatal(err)
-	}
-	if m.ticks != 1 {
-		t.Fatalf("fallback-registered module ticked %d times, want 1", m.ticks)
+// TestOneWorkerEngineRunsOnCaller checks that a one-worker engine (and
+// a worker count below 1, which means one) steps shard 0 on the calling
+// goroutine and never starts the pool's goroutines.
+func TestOneWorkerEngineRunsOnCaller(t *testing.T) {
+	for _, workers := range []int{0, 1} {
+		e := NewEngine(workers, false)
+		m := newTestMod("m")
+		e.Register(0, m, nil)
+		if err := e.Run(3); err != nil {
+			t.Fatal(err)
+		}
+		if m.ticks != 3 {
+			t.Fatalf("workers=%d: module ticked %d times, want 3", workers, m.ticks)
+		}
+		if len(e.pool.shards) != 1 || e.pool.started {
+			t.Fatalf("workers=%d: %d shards, goroutines started %v; want 1 shard and none",
+				workers, len(e.pool.shards), e.pool.started)
+		}
 	}
 }

@@ -120,8 +120,9 @@ func TestBusCountsAndDispatch(t *testing.T) {
 }
 
 // TestBusBeginClearsPreviousEvent: the bus reuses one slot for every
-// event, so a field the second publisher leaves unset must read as zero,
-// not as whatever the first event left there.
+// event, so a field the second publisher leaves unset must read as its
+// default — zero, or -1 ("not applicable") for VC and Winner — not as
+// whatever the first event left there.
 func TestBusBeginClearsPreviousEvent(t *testing.T) {
 	var b Bus
 	var got []Event
@@ -136,7 +137,7 @@ func TestBusBeginClearsPreviousEvent(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("listener saw %d events, want 2", len(got))
 	}
-	if want := (Event{Type: EvBufferRead, Cycle: 8, Node: 4}); !reflect.DeepEqual(got[1], want) {
+	if want := (Event{Type: EvBufferRead, Cycle: 8, Node: 4, VC: -1, Winner: -1}); !reflect.DeepEqual(got[1], want) {
 		t.Errorf("second event = %+v, want only %+v", got[1], want)
 	}
 }
@@ -166,12 +167,11 @@ func (c *counterModule) Tick(cycle int64) error {
 }
 
 func TestEngineStepOrderAndCycle(t *testing.T) {
-	e := NewEngine(nil)
+	e := NewEngine(1, false)
 	a := &counterModule{}
 	b := &counterModule{}
-	e.Register(a)
-	e.Register(b)
-	e.Register(nil) // ignored
+	e.Register(0, a, nil)
+	e.Register(0, b, nil)
 	if err := e.Run(5); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -184,9 +184,9 @@ func TestEngineStepOrderAndCycle(t *testing.T) {
 }
 
 func TestEngineModuleError(t *testing.T) {
-	e := NewEngine(nil)
+	e := NewEngine(1, false)
 	boom := errors.New("boom")
-	e.Register(&counterModule{fail: boom})
+	e.Register(0, &counterModule{fail: boom}, nil)
 	err := e.Step()
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("Step error = %v, want wrapped boom", err)
@@ -197,10 +197,9 @@ func TestEngineModuleError(t *testing.T) {
 }
 
 func TestEngineLatchesWires(t *testing.T) {
-	e := NewEngine(nil)
+	e := NewEngine(1, false)
 	w := NewWire[int]("w")
-	e.Connect(w)
-	e.Connect(nil) // ignored
+	e.Connect(0, w)
 	if err := w.Send(7); err != nil {
 		t.Fatal(err)
 	}
@@ -209,33 +208,5 @@ func TestEngineLatchesWires(t *testing.T) {
 	}
 	if v, ok := w.Take(); !ok || v != 7 {
 		t.Fatalf("wire not latched by engine: %d,%v", v, ok)
-	}
-}
-
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine(nil)
-	c := &counterModule{}
-	e.Register(c)
-	n, err := e.RunUntil(func() bool { return c.n >= 3 }, 100)
-	if err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
-	if n != 3 {
-		t.Errorf("cycles = %d, want 3", n)
-	}
-	_, err = e.RunUntil(func() bool { return false }, 10)
-	if err == nil {
-		t.Fatal("RunUntil should fail at cycle limit")
-	}
-}
-
-func TestEngineBus(t *testing.T) {
-	var b Bus
-	e := NewEngine(&b)
-	if e.Bus() != &b {
-		t.Error("Bus() should return the provided bus")
-	}
-	if NewEngine(nil).Bus() == nil {
-		t.Error("nil bus should be replaced")
 	}
 }

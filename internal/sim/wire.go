@@ -2,13 +2,17 @@ package sim
 
 import "fmt"
 
-// Latchable is anything with per-cycle state the engine must commit between
-// cycles. All wires registered with an Engine are latched after every tick.
+// Latchable is a wire the engine commits between cycles (see Connect).
+// Its unexported methods are the dirty-latch contract with the engine
+// (latch.go): the wire enlists itself on Send and reports, at latch time,
+// whether it must stay on the dirty list. Wire[T] is the implementation.
 type Latchable interface {
 	// Latch commits the value written this cycle so it becomes visible
 	// next cycle. It reports an error if a previously delivered value was
 	// never consumed and is about to be overwritten (a flow-control bug).
 	Latch() error
+	bindTracker(t *latchTracker, seq int)
+	latchArmed() (still bool, seq int, err error)
 }
 
 // Wire is a typed port-to-port connection with exactly one cycle of
@@ -120,7 +124,7 @@ func (w *Wire[T]) Pending() (cur T, curOK bool, next T, nextOK bool) {
 	return w.cur, w.curOK, w.next, w.nextOK
 }
 
-// bindTracker implements dirtyLatchable: the engine hands the wire the
+// bindTracker implements Latchable: the engine hands the wire the
 // dirty list to enlist with on Send, and its connection sequence number
 // (used to order latch errors deterministically across worker counts).
 func (w *Wire[T]) bindTracker(t *latchTracker, seq int) {
@@ -128,7 +132,7 @@ func (w *Wire[T]) bindTracker(t *latchTracker, seq int) {
 	w.seq = seq
 }
 
-// latchArmed implements dirtyLatchable: latch, then report whether the
+// latchArmed implements Latchable: latch, then report whether the
 // wire still holds an unconsumed value — in which case it must stay on
 // the dirty list so the next latch can record the drop (or strict-wire
 // error) exactly as an every-cycle latch would have.

@@ -30,7 +30,7 @@ type Meter struct {
 
 	// errs collects events that could not be attributed (misconfigured
 	// registration); surfaced via Err. errMu makes the cold failure path
-	// safe under the parallel engine, where each shard bus drives the
+	// safe with several tick workers, where each shard bus drives the
 	// meter's handlers from its own worker goroutine.
 	errMu sync.Mutex
 	errs  []error

@@ -221,11 +221,11 @@ type SimConfig struct {
 	// cancellation — are never retried: re-running a deterministic
 	// simulation reproduces them exactly. Zero means no retries.
 	PointRetries int
-	// Workers is the parallel tick worker count for a single run. 0
-	// resolves to the ORION_WORKERS environment variable if set, else
-	// GOMAXPROCS — but to 1 on networks below a measured size (see
-	// DESIGN.md "Worker resolution"), where the parallel kernel's
-	// per-cycle barriers cost more than they save. An explicit count is
+	// Workers is the tick worker count for a single run; one worker is
+	// shard 0 on the calling goroutine. 0 resolves to the ORION_WORKERS
+	// environment variable if set, else GOMAXPROCS — but to 1 on networks
+	// below a measured size (see DESIGN.md "Worker resolution"), where
+	// the per-cycle barriers of more workers cost more than they save. An explicit count is
 	// kept on any network. The result is capped at half the node count
 	// and forced to 1 under fault injection. Results are bit-identical
 	// at every worker count, so Workers is an execution detail: it is

@@ -572,8 +572,8 @@ func pointRetryDelay(attempt int, rate float64) time.Duration {
 func runPoint(ctx context.Context, cfg Config, rate float64) (*Result, error) {
 	// A sweep already fills the machine with concurrent points; letting
 	// each point also auto-resolve to GOMAXPROCS tick workers would
-	// oversubscribe every core. Points default to the sequential engine
-	// unless the caller explicitly asked for intra-run parallelism.
+	// oversubscribe every core. Points default to one worker unless the
+	// caller explicitly asked for intra-run parallelism.
 	if cfg.Sim.Workers == 0 {
 		cfg.Sim.Workers = 1
 	}

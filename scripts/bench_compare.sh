@@ -25,10 +25,9 @@
 # BenchmarkFig5VC64 and BenchmarkSimulatorSpeed leave Workers at auto,
 # which on its own resolves to the box's core count: a 1-CPU baseline
 # would run them sequentially and a multi-core runner at 2-8 tick
-# workers. Their 16-node torus sits far below the sequential cutoff for
+# workers. Their 16-node torus sits far below the one-worker cutoff for
 # auto workers (internal/core/config.go, seqCutoffNodes), so every box
-# runs them on the sequential engine and the gate compares like with
-# like.
+# runs them on one worker and the gate compares like with like.
 #
 # The multi-worker sweeps (Fig5VC64Workers*, Mesh32VC8Workers[248],
 # WorkerCutoff) are recorded in the baseline for scaling analysis but not

@@ -67,8 +67,9 @@ func ConfigDigest(cfg Config) ([]byte, error) {
 // Cycle returns the current engine cycle.
 func (s *Sim) Cycle() int64 { return s.net.Cycle() }
 
-// Workers returns the resolved parallel tick worker count (1 means the
-// sequential engine). See SimConfig.Workers for the resolution policy.
+// Workers returns the resolved tick worker count (1 means one worker:
+// shard 0 on the caller). See SimConfig.Workers for the resolution
+// policy.
 func (s *Sim) Workers() int { return s.net.Workers() }
 
 // StepTo advances the simulation to the given cycle boundary, crossing
@@ -216,8 +217,9 @@ func ResumeFile(ctx context.Context, cfg Config, path string) (*Sim, error) {
 
 // VerifyEventPath is the simulator's divergence self-check: it runs
 // lockstep builds of the configuration — the frozen fast event path and
-// the map-based reference path, plus a sequential-engine oracle whenever
-// the primary build resolved to more than one tick worker, plus an
+// the map-based reference path, plus a one-worker oracle (shard 0 on the
+// caller) whenever the primary build resolved to more than one tick
+// worker, plus an
 // always-tick oracle whenever the primary build uses the active-set
 // scheduler — comparing StateHash every `every` cycles until all
 // complete or `maxCycles` is reached. The builds are required to be observably identical; a
@@ -253,12 +255,12 @@ func VerifyEventPath(ctx context.Context, cfg Config, every, maxCycles int64) er
 		"fast vs reference event path: ", "fast vs reference"); err != nil {
 		return err
 	}
-	// When the primary build runs parallel, a build pinned to the
-	// sequential engine checks the parallel kernel's bit-identity claim
-	// end to end, not just in the unit tests.
+	// When the primary build runs on several workers, a build pinned to
+	// one worker (shard 0 on the caller) checks the worker-count
+	// bit-identity claim end to end, not just in the unit tests.
 	if fast.Workers() > 1 {
 		if err := add(func(s *SimConfig) { s.Workers = 1 },
-			fmt.Sprintf("parallel (%d workers) vs sequential engine: ", fast.Workers()), "parallel vs sequential"); err != nil {
+			fmt.Sprintf("%d workers vs one worker: ", fast.Workers()), "workers vs one worker"); err != nil {
 			return err
 		}
 	}
