@@ -31,6 +31,9 @@ func TestPinnedResults(t *testing.T) {
 	for _, tc := range parallelCases {
 		cases["parallel/"+tc.name] = tc.cfg()
 	}
+	for name, cfg := range faultedConfigs() {
+		cases["faulted/"+name] = cfg
+	}
 	names := make([]string, 0, len(cases))
 	for name := range cases {
 		names = append(names, name)
@@ -41,8 +44,12 @@ func TestPinnedResults(t *testing.T) {
 	for _, name := range names {
 		h, res := runAtWorkers(t, cases[name], 1)
 		f := fingerprint(res)
-		fmt.Fprintf(&b, "%s hash=%016x energy=%016x avg=%016x p50=%016x p95=%016x p99=%016x power=%016x injected=%d ejected=%d cycles=%d events=%+v\n",
+		fmt.Fprintf(&b, "%s hash=%016x energy=%016x avg=%016x p50=%016x p95=%016x p99=%016x power=%016x injected=%d ejected=%d cycles=%d events=%+v",
 			name, h, f.energy, f.avg, f.p50, f.p95, f.p99, f.powerW, f.injected, f.ejected, f.cycles, f.events)
+		if cases[name].Faults != nil {
+			fmt.Fprintf(&b, " faults=%+v", res.Faults)
+		}
+		b.WriteString("\n")
 	}
 	got := b.String()
 
@@ -59,5 +66,35 @@ func TestPinnedResults(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("results differ from %s (run with -update after an intended change)\ngot:\n%s", golden, got)
+	}
+}
+
+// faultedConfigs are the pinned fault-injection cases: the two crossbar
+// router kinds on chip, the central-buffered router chip to chip and the
+// virtual-channel router under link DVS, each under one schedule that
+// drops, stalls and corrupts link traffic and stalls an input port, so
+// every fault path of both router kinds moves a pinned number.
+func faultedConfigs() map[string]Config {
+	faulted := func(cfg Config) Config {
+		cfg.Traffic.Seed = 7
+		cfg.Sim.WarmupCycles = 300
+		cfg.Faults = &FaultsConfig{
+			Seed: 3,
+			Faults: []Fault{
+				{Kind: FaultLinkDrop, Node: 0, Port: 0, Start: 400, Duration: 600},
+				{Kind: FaultLinkStall, Node: 5, Port: 2, Start: 300, Duration: 200},
+				{Kind: FaultPortStall, Node: 6, Port: 1, Start: 350, Duration: 150},
+				{Kind: FaultBitFlip, Node: 10, Port: 1, Rate: 0.05},
+			},
+		}
+		return cfg
+	}
+	dvs := OnChip4x4(VC16(), 0.10)
+	dvs.Link.DVS = &DVSPolicy{}
+	return map[string]Config{
+		"VC16":     faulted(OnChip4x4(VC16(), 0.10)),
+		"WH64":     faulted(OnChip4x4(WH64(), 0.10)),
+		"CB":       faulted(ChipToChip4x4(CB(), 0.10)),
+		"VC16-DVS": faulted(dvs),
 	}
 }
