@@ -3,7 +3,6 @@ package router
 import (
 	"fmt"
 
-	"orion/internal/fault"
 	"orion/internal/flit"
 	"orion/internal/sim"
 )
@@ -60,18 +59,10 @@ func (r *CBRouter) recyclePacket(pkt *cbPacket) {
 // outputs never block one another at an input ("packets from the same
 // input port need not line up behind one another").
 type CBRouter struct {
-	name string
-	node int
-	cfg  Config
-	bus  *sim.Bus
+	linkSide
 
 	inQ      []fifo[*flit.Flit]
 	curWrite []*cbPacket
-
-	inData  []*sim.Wire[*flit.Flit]
-	inCred  []*sim.Wire[flit.Credit]
-	outData []*sim.Wire[*flit.Flit]
-	outCred []*sim.Wire[flit.Credit]
 
 	outCredits  []int
 	outInfinite []bool
@@ -84,16 +75,9 @@ type CBRouter struct {
 	writePick []picker // one per write port
 	readPick  []picker // one per read port
 
-	govs    []OutputGovernor
-	outFree []int64
-
-	// Fault injection view (nil when this node is fault-free), the
-	// network's dropped-flit observer, and the per-output packet-drop
-	// latch (a packet whose head met a drop window is swallowed whole —
-	// output queues read packets contiguously, so one flag per port
-	// suffices).
-	faults   *fault.NodeFaults
-	onDrop   DropHandler
+	// dropping is the per-output packet-drop latch: a packet whose head
+	// met a drop window is swallowed whole, and output queues read
+	// packets contiguously, so one flag per port suffices.
 	dropping []bool
 
 	// pktFree recycles packet tracking records (and their entry slices)
@@ -120,24 +104,15 @@ func NewCB(node int, cfg Config, bus *sim.Bus) (*CBRouter, error) {
 		return nil, fmt.Errorf("router: central-buffered router supports at most 64 ports, got %d", cfg.Ports)
 	}
 	r := &CBRouter{
-		name:        fmt.Sprintf("router%d(central-buffered)", node),
-		node:        node,
-		cfg:         cfg,
-		bus:         bus,
+		linkSide:    newLinkSide(fmt.Sprintf("router%d(central-buffered)", node), node, cfg, bus),
 		inQ:         make([]fifo[*flit.Flit], cfg.Ports),
 		curWrite:    make([]*cbPacket, cfg.Ports),
-		inData:      make([]*sim.Wire[*flit.Flit], cfg.Ports),
-		inCred:      make([]*sim.Wire[flit.Credit], cfg.Ports),
-		outData:     make([]*sim.Wire[*flit.Flit], cfg.Ports),
-		outCred:     make([]*sim.Wire[flit.Credit], cfg.Ports),
 		outCredits:  make([]int, cfg.Ports),
 		outInfinite: make([]bool, cfg.Ports),
 		outQ:        make([]fifo[*cbPacket], cfg.Ports),
 		capacity:    cfg.CBBanks * cfg.CBRows,
 		writePick:   make([]picker, cfg.CBWritePorts),
 		readPick:    make([]picker, cfg.CBReadPorts),
-		govs:        make([]OutputGovernor, cfg.Ports),
-		outFree:     make([]int64, cfg.Ports),
 		dropping:    make([]bool, cfg.Ports),
 	}
 	for i := range r.writePick {
@@ -149,48 +124,11 @@ func NewCB(node int, cfg Config, bus *sim.Bus) (*CBRouter, error) {
 	return r, nil
 }
 
-// SetGovernor implements Router.
-func (r *CBRouter) SetGovernor(port int, gov OutputGovernor) error {
-	if port < 0 || port >= r.cfg.Ports {
-		return fmt.Errorf("router: governor port %d out of range [0,%d)", port, r.cfg.Ports)
-	}
-	r.govs[port] = gov
-	return nil
-}
-
-// SetFaults implements Router.
-func (r *CBRouter) SetFaults(nf *fault.NodeFaults, onDrop DropHandler) error {
-	r.faults = nf
-	r.onDrop = onDrop
-	return nil
-}
-
-// Name implements sim.Module.
-func (r *CBRouter) Name() string { return r.name }
-
-// Config implements Router.
-func (r *CBRouter) Config() Config { return r.cfg }
-
-// Node returns the router's node index.
-func (r *CBRouter) Node() int { return r.node }
-
-// AttachInput implements Router.
-func (r *CBRouter) AttachInput(port int, data *sim.Wire[*flit.Flit], credit *sim.Wire[flit.Credit]) error {
-	if port < 0 || port >= r.cfg.Ports {
-		return fmt.Errorf("router: input port %d out of range [0,%d)", port, r.cfg.Ports)
-	}
-	r.inData[port] = data
-	r.inCred[port] = credit
-	return nil
-}
-
 // AttachOutput implements Router.
 func (r *CBRouter) AttachOutput(port int, data *sim.Wire[*flit.Flit], credit *sim.Wire[flit.Credit], downstreamCredits int, infinite bool) error {
-	if port < 0 || port >= r.cfg.Ports {
-		return fmt.Errorf("router: output port %d out of range [0,%d)", port, r.cfg.Ports)
+	if err := r.attachOutput(port, data, credit); err != nil {
+		return err
 	}
-	r.outData[port] = data
-	r.outCred[port] = credit
 	r.outCredits[port] = downstreamCredits
 	r.outInfinite[port] = infinite
 	return nil
@@ -322,8 +260,7 @@ func (r *CBRouter) readStage(cycle int64) error {
 
 		f := e.f
 		f.VC = 0
-		if r.faults != nil && o != r.cfg.Ports-1 &&
-			f.Kind.IsHead() && r.faults.LinkDropping(o, cycle) {
+		if r.dropStarts(o, f, cycle) {
 			r.dropping[o] = true
 		}
 		if r.dropping[o] {
@@ -334,41 +271,9 @@ func (r *CBRouter) readStage(cycle int64) error {
 			if !r.outInfinite[o] {
 				r.outCredits[o]++
 			}
-			r.faults.CountDrop(f.Kind.IsHead())
-			if r.onDrop != nil {
-				r.onDrop(f, cycle)
-			}
-			if f.Kind.IsTail() {
-				r.dropping[o] = false
-				if !pkt.complete || pkt.entries.len() != 0 {
-					return fmt.Errorf("cb router %d: tail read from incomplete packet record", r.node)
-				}
-				r.outQ[o].pop()
-				r.recyclePacket(pkt)
-			}
-			continue
-		}
-		if o != r.cfg.Ports-1 { // not the ejection port
-			f.Hop++
-			ev = r.bus.Begin(sim.EvLinkTraversal, cycle, r.node)
-			ev.Port, ev.Data = o, f.Payload
-			r.bus.Publish()
-			if r.faults != nil {
-				// Corrupt after the link event (the sender drives the
-				// original bits) so only downstream activity sees the
-				// flipped payload.
-				r.faults.Corrupt(o, cycle, f.Payload, r.cfg.FlitBits)
-			}
-			if gov := r.govs[o]; gov != nil {
-				gov.OnSend(cycle)
-				r.outFree[o] = cycle + gov.SendPeriod(cycle)
-			}
-		}
-		w := r.outData[o]
-		if w == nil {
-			return fmt.Errorf("cb router %d: output %d has no wire", r.node, o)
-		}
-		if err := w.Send(f); err != nil {
+			r.drop(f, cycle)
+			r.dropping[o] = !f.Kind.IsTail()
+		} else if err := r.send(o, f, cycle); err != nil {
 			return err
 		}
 		if f.Kind.IsTail() {
@@ -411,10 +316,8 @@ func (r *CBRouter) writeStage(cycle int64) error {
 		ev = r.bus.Begin(sim.EvBufferRead, cycle, r.node)
 		ev.Port, ev.VC = p, 0
 		r.bus.Publish()
-		if w := r.inCred[p]; w != nil {
-			if err := w.Send(flit.Credit{VC: 0}); err != nil {
-				return err
-			}
+		if err := r.returnCredit(p, 0); err != nil {
+			return err
 		}
 
 		outPort, err := f.OutputPort()

@@ -28,9 +28,7 @@ type Router interface {
 	// SetFaults attaches this node's fault-injection view (nil for a
 	// fault-free router) and the handler invoked for each flit a LinkDrop
 	// fault discards, so the network can keep conservation accounting.
-	SetFaults(nf *fault.NodeFaults, onDrop DropHandler) error
-	// Config returns the router's configuration.
-	Config() Config
+	SetFaults(nf *fault.NodeFaults, onDrop DropHandler)
 	// EncodeState emits the router's mutable architectural state —
 	// per-VC state machines, occupancy, credits, arbitration pointers,
 	// pipeline registers — as fixed-width words via put, and every
@@ -91,18 +89,10 @@ type grant struct {
 // (VCs = 1, 2-stage pipeline) and virtual-channel (3-stage pipeline)
 // configurations.
 type XBRouter struct {
-	name string
-	node int
-	cfg  Config
-	bus  *sim.Bus
+	linkSide
 
 	in  [][]inputVC
 	out [][]outputVC
-
-	inData  []*sim.Wire[*flit.Flit]
-	inCred  []*sim.Wire[flit.Credit]
-	outData []*sim.Wire[*flit.Flit]
-	outCred []*sim.Wire[flit.Credit]
 
 	stExec []grant
 	// cand is the per-stage scratch for the winning VC per input port,
@@ -126,17 +116,6 @@ type XBRouter struct {
 	// read shared ring state move to TickOrdered. See TickOrdered.
 	deferRings bool
 	ringOps    []ringOp
-
-	// Output bandwidth governors (e.g. DVS link controllers) and the
-	// next cycle each output may send.
-	govs    []OutputGovernor
-	outFree []int64
-
-	// Fault injection view (nil for fault-free routers — the hot path
-	// then pays one nil check per allocation stage) and the network's
-	// dropped-flit observer.
-	faults *fault.NodeFaults
-	onDrop DropHandler
 }
 
 var _ Router = (*XBRouter)(nil)
@@ -153,21 +132,14 @@ func NewXB(node int, cfg Config, bus *sim.Bus) (*XBRouter, error) {
 		return nil, fmt.Errorf("router: event bus is required")
 	}
 	r := &XBRouter{
-		name:    fmt.Sprintf("router%d(%s)", node, cfg.Kind),
-		node:    node,
-		cfg:     cfg,
-		bus:     bus,
-		in:      make([][]inputVC, cfg.Ports),
-		out:     make([][]outputVC, cfg.Ports),
-		inData:  make([]*sim.Wire[*flit.Flit], cfg.Ports),
-		inCred:  make([]*sim.Wire[flit.Credit], cfg.Ports),
-		outData: make([]*sim.Wire[*flit.Flit], cfg.Ports),
-		outCred: make([]*sim.Wire[flit.Credit], cfg.Ports),
-		cand:    make([]int, cfg.Ports),
-		saIn:    make([]picker, cfg.Ports),
-		saOut:   make([]picker, cfg.Ports),
-		vaIn:    make([]picker, cfg.Ports),
-		vaOut:   make([]picker, cfg.Ports),
+		linkSide: newLinkSide(fmt.Sprintf("router%d(%s)", node, cfg.Kind), node, cfg, bus),
+		in:       make([][]inputVC, cfg.Ports),
+		out:      make([][]outputVC, cfg.Ports),
+		cand:     make([]int, cfg.Ports),
+		saIn:     make([]picker, cfg.Ports),
+		saOut:    make([]picker, cfg.Ports),
+		vaIn:     make([]picker, cfg.Ports),
+		vaOut:    make([]picker, cfg.Ports),
 	}
 	if cfg.Kind == VirtualChannel && cfg.Bubble {
 		r.deferRings = true
@@ -175,8 +147,6 @@ func NewXB(node int, cfg Config, bus *sim.Bus) (*XBRouter, error) {
 	}
 	r.inRings = make([][]*ringRef, cfg.Ports)
 	r.outRings = make([][]*ringRef, cfg.Ports)
-	r.govs = make([]OutputGovernor, cfg.Ports)
-	r.outFree = make([]int64, cfg.Ports)
 	for p := 0; p < cfg.Ports; p++ {
 		r.in[p] = make([]inputVC, cfg.VCs)
 		r.out[p] = make([]outputVC, cfg.VCs)
@@ -214,48 +184,11 @@ func (r *XBRouter) SetOutputRing(port, vc int, ring *Ring, downstreamIdx int) er
 	return nil
 }
 
-// SetGovernor implements Router.
-func (r *XBRouter) SetGovernor(port int, gov OutputGovernor) error {
-	if port < 0 || port >= r.cfg.Ports {
-		return fmt.Errorf("router: governor port %d out of range [0,%d)", port, r.cfg.Ports)
-	}
-	r.govs[port] = gov
-	return nil
-}
-
-// SetFaults implements Router.
-func (r *XBRouter) SetFaults(nf *fault.NodeFaults, onDrop DropHandler) error {
-	r.faults = nf
-	r.onDrop = onDrop
-	return nil
-}
-
-// Name implements sim.Module.
-func (r *XBRouter) Name() string { return r.name }
-
-// Config implements Router.
-func (r *XBRouter) Config() Config { return r.cfg }
-
-// Node returns the router's node index.
-func (r *XBRouter) Node() int { return r.node }
-
-// AttachInput implements Router.
-func (r *XBRouter) AttachInput(port int, data *sim.Wire[*flit.Flit], credit *sim.Wire[flit.Credit]) error {
-	if port < 0 || port >= r.cfg.Ports {
-		return fmt.Errorf("router: input port %d out of range [0,%d)", port, r.cfg.Ports)
-	}
-	r.inData[port] = data
-	r.inCred[port] = credit
-	return nil
-}
-
 // AttachOutput implements Router.
 func (r *XBRouter) AttachOutput(port int, data *sim.Wire[*flit.Flit], credit *sim.Wire[flit.Credit], downstreamCredits int, infinite bool) error {
-	if port < 0 || port >= r.cfg.Ports {
-		return fmt.Errorf("router: output port %d out of range [0,%d)", port, r.cfg.Ports)
+	if err := r.attachOutput(port, data, credit); err != nil {
+		return err
 	}
-	r.outData[port] = data
-	r.outCred[port] = credit
 	for v := range r.out[port] {
 		r.out[port][v].credits = downstreamCredits
 		r.out[port][v].infinite = infinite
@@ -355,16 +288,6 @@ type ringOp struct {
 // the engine must then call every cycle after the tick phase.
 func (r *XBRouter) DefersRings() bool { return r.deferRings }
 
-// ringAdd applies a ring occupancy update, or stages it when the router
-// defers its rings.
-func (r *XBRouter) ringAdd(ref *ringRef, delta int) {
-	if r.deferRings {
-		r.ringOps = append(r.ringOps, ringOp{ref, delta})
-		return
-	}
-	ref.ring.Add(ref.idx, delta)
-}
-
 // TickOrdered implements sim.OrderedTicker for routers that defer their
 // rings (virtual-channel routers under bubble flow control, whose ring
 // occupancy is shared between routers mid-cycle): apply the ring updates
@@ -375,16 +298,13 @@ func (r *XBRouter) ringAdd(ref *ringRef, delta int) {
 // global order of ring reads and writes is fixed — router i's
 // switch-traversal releases, then router i's VC allocation, for i
 // ascending — at every worker count. Other routers are never registered
-// for the ordered phase, and for them TickOrdered does nothing.
+// for the ordered phase.
 func (r *XBRouter) TickOrdered(cycle int64) error {
 	for i := range r.ringOps {
 		op := r.ringOps[i]
 		op.ref.ring.Add(op.ref.idx, op.delta)
 	}
 	r.ringOps = r.ringOps[:0]
-	if !r.deferRings {
-		return nil
-	}
 	r.vcAllocation(cycle)
 	if r.cfg.Speculative {
 		return r.switchAllocation(cycle)
@@ -470,8 +390,10 @@ func (r *XBRouter) switchTraversal(cycle int64) error {
 			return fmt.Errorf("ST grant for empty queue %d/%d", g.inPort, g.inVC)
 		}
 		ivc.pendingST = false
+		// Ring slots exist only on routers that defer their rings, so
+		// releases are staged for TickOrdered.
 		if ref := r.inRings[g.inPort][g.inVC]; ref != nil {
-			r.ringAdd(ref, -1)
+			r.ringOps = append(r.ringOps, ringOp{ref, -1})
 		}
 		ev := r.bus.Begin(sim.EvBufferRead, cycle, r.node)
 		ev.Port, ev.VC = g.inPort, g.inVC
@@ -481,16 +403,13 @@ func (r *XBRouter) switchTraversal(cycle int64) error {
 		r.bus.Publish()
 
 		// Return the freed buffer slot upstream.
-		if w := r.inCred[g.inPort]; w != nil {
-			if err := w.Send(flit.Credit{VC: g.inVC}); err != nil {
-				return err
-			}
+		if err := r.returnCredit(g.inPort, g.inVC); err != nil {
+			return err
 		}
 
 		f.VC = g.outVC
 		ovc := &r.out[g.outPort][g.outVC]
-		if r.faults != nil && !r.isEjection(g.outPort) &&
-			f.Kind.IsHead() && r.faults.LinkDropping(g.outPort, cycle) {
+		if r.dropStarts(g.outPort, f, cycle) {
 			ovc.dropping = true
 		}
 		if ovc.dropping {
@@ -498,49 +417,17 @@ func (r *XBRouter) switchTraversal(cycle int64) error {
 			// switch allocator spent (the flit never occupies a
 			// downstream slot) and release its committed ring slot, then
 			// hand it to the network's drop accounting instead of the
-			// wire. Tails close the packet and free the channel exactly
-			// as a delivered tail would.
+			// wire. A dropped tail closes the packet and frees the
+			// channel exactly as a delivered tail does.
 			if !ovc.infinite {
 				ovc.credits++
 			}
 			if ref := r.outRings[g.outPort][g.outVC]; ref != nil {
-				r.ringAdd(ref, -1)
+				r.ringOps = append(r.ringOps, ringOp{ref, -1})
 			}
-			r.faults.CountDrop(f.Kind.IsHead())
-			if r.onDrop != nil {
-				r.onDrop(f, cycle)
-			}
-			if f.Kind.IsTail() {
-				ovc.dropping = false
-				ovc.free = true
-				ivc.state = vcIdle
-				if err := r.refresh(g.inPort, g.inVC); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		if !r.isEjection(g.outPort) {
-			f.Hop++
-			ev = r.bus.Begin(sim.EvLinkTraversal, cycle, r.node)
-			ev.Port, ev.Data = g.outPort, f.Payload
-			r.bus.Publish()
-			if r.faults != nil {
-				// Corrupt after the link event (the sender drives the
-				// original bits) so only downstream activity — buffer
-				// writes onward — sees the flipped payload.
-				r.faults.Corrupt(g.outPort, cycle, f.Payload, r.cfg.FlitBits)
-			}
-			if gov := r.govs[g.outPort]; gov != nil {
-				gov.OnSend(cycle)
-				r.outFree[g.outPort] = cycle + gov.SendPeriod(cycle)
-			}
-		}
-		w := r.outData[g.outPort]
-		if w == nil {
-			return fmt.Errorf("output port %d has no wire", g.outPort)
-		}
-		if err := w.Send(f); err != nil {
+			r.drop(f, cycle)
+			ovc.dropping = !f.Kind.IsTail()
+		} else if err := r.send(g.outPort, f, cycle); err != nil {
 			return err
 		}
 
@@ -554,10 +441,6 @@ func (r *XBRouter) switchTraversal(cycle int64) error {
 	}
 	return nil
 }
-
-// isEjection reports whether the port is the local ejection port (the
-// highest port index by convention).
-func (r *XBRouter) isEjection(port int) bool { return port == r.cfg.Ports-1 }
 
 // saEligible reports whether an input VC can request the switch.
 func (r *XBRouter) saEligible(port, vc int) bool {
