@@ -98,7 +98,7 @@ func newPair(t *testing.T, cfg Config) *pair {
 	for n := 0; n < 2; n++ {
 		eng.Register(0, p.sources[n], nil)
 		eng.Register(0, p.routers[n], nil)
-		eng.Register(0, p.sinks[n], nil)
+		eng.RegisterOrdered(p.sinks[n], nil)
 	}
 	return p
 }

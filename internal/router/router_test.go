@@ -391,7 +391,7 @@ func TestSinkMisroute(t *testing.T) {
 	if err := w.Latch(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sink.Tick(0); err == nil {
+	if err := sink.TickOrdered(0); err == nil {
 		t.Error("misrouted flit should error")
 	}
 }

@@ -130,25 +130,16 @@ type SinkRecord func(f *flit.Flit, cycle int64)
 
 // Sink is the message-consuming agent: it drains the router's ejection
 // port every cycle (Section 4.1 assumes immediate ejection) and reports
-// ejections.
+// ejections. Its record callback feeds network-wide state (sampler,
+// checker, counters) that must be touched by one goroutine in a fixed
+// order, so a sink runs in the engine's ordered phase (it is a
+// sim.OrderedTicker, not a Module): sinks registered in node order record
+// in node order at every worker count.
 type Sink struct {
 	name   string
 	node   int
 	data   *sim.Wire[*flit.Flit]
 	record SinkRecord
-
-	// Deferred mode (every network the core builds): Tick consumes the
-	// flit and counts the ejection, but stashes the record callback's
-	// arguments and enlists the sink on the shared pending list instead
-	// of calling it — the callback feeds network-wide state (sampler,
-	// checker, counters) that must be touched by one goroutine. Flush,
-	// called on the goroutine stepping the engine in node order, replays
-	// the callback with identical arguments and order at every worker
-	// count. The stash is empty at every cycle boundary, so state capture
-	// is unaffected.
-	pending   *[]*Sink
-	pendFlit  *flit.Flit
-	pendCycle int64
 
 	// Ejected counts flits consumed.
 	Ejected int64
@@ -167,7 +158,7 @@ func NewSink(node int, data *sim.Wire[*flit.Flit], record SinkRecord) (*Sink, er
 	}, nil
 }
 
-// Name implements sim.Module.
+// Name implements sim.OrderedTicker.
 func (s *Sink) Name() string { return s.name }
 
 // Record returns the sink's ejection callback and SetRecord replaces it —
@@ -178,21 +169,15 @@ func (s *Sink) Record() SinkRecord { return s.record }
 // SetRecord replaces the sink's ejection callback.
 func (s *Sink) SetRecord(r SinkRecord) { s.record = r }
 
-// SetDeferred switches the sink to deferred record delivery: Tick appends
-// the sink to *pending instead of invoking the callback, and Flush
-// replays it. pending must be written only by this sink's tick goroutine.
-// nil restores immediate delivery.
-func (s *Sink) SetDeferred(pending *[]*Sink) { s.pending = pending }
-
-// Quiescent implements sim.Gated: a sink holds no state between cycles —
-// it only reacts to a delivered flit, and the ejection wire's waker
-// raises the gate for exactly the cycles one is visible. (The deferred
-// stash is always flushed within the same cycle, so it never carries
-// work across a sleep.)
+// Quiescent lets the sink sleep under an activity gate: a sink holds no
+// state between cycles — it only reacts to a delivered flit, and the
+// ejection wire's waker raises the gate for exactly the cycles one is
+// visible.
 func (s *Sink) Quiescent() bool { return true }
 
-// Tick implements sim.Module.
-func (s *Sink) Tick(cycle int64) error {
+// TickOrdered implements sim.OrderedTicker: consume the visible ejection
+// flit, if any, count it and record it.
+func (s *Sink) TickOrdered(cycle int64) error {
 	f, ok := s.data.Take()
 	if !ok {
 		return nil
@@ -201,22 +186,8 @@ func (s *Sink) Tick(cycle int64) error {
 		return fmt.Errorf("sink %d: misrouted flit %v (dst %d)", s.node, f, f.Packet.Dst)
 	}
 	s.Ejected++
-	if s.record == nil {
-		return nil
+	if s.record != nil {
+		s.record(f, cycle)
 	}
-	if s.pending != nil {
-		s.pendFlit, s.pendCycle = f, cycle
-		*s.pending = append(*s.pending, s)
-		return nil
-	}
-	s.record(f, cycle)
 	return nil
-}
-
-// Flush delivers a deferred ejection record. Called on the goroutine
-// stepping the engine, after the tick phase.
-func (s *Sink) Flush() {
-	f := s.pendFlit
-	s.pendFlit = nil
-	s.record(f, s.pendCycle)
 }

@@ -62,7 +62,7 @@ type Gated interface {
 // between-cycles drain); the wake bit lives in a word shared with up to
 // 63 other gates and may be set from any goroutine.
 type Gate struct {
-	q     Gated
+	q     interface{ Quiescent() bool }
 	word  *atomic.Uint64
 	mask  uint64
 	awake bool
@@ -89,9 +89,10 @@ func (g *Gate) Wake() {
 	}
 }
 
-// NewGate allocates a gate for the given module, initially awake. Returns
-// nil on an ungated engine, which every consumer of a Gate tolerates.
-func (e *Engine) NewGate(q Gated) *Gate {
+// NewGate allocates a gate for the given module — a Gated module, or an
+// OrderedTicker that advertises quiescence — initially awake. Returns nil
+// on an ungated engine, which every consumer of a Gate tolerates.
+func (e *Engine) NewGate(q interface{ Quiescent() bool }) *Gate {
 	if !e.gating {
 		return nil
 	}
