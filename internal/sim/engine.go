@@ -22,7 +22,9 @@ type Module interface {
 // caller's goroutine, in RegisterOrdered order. A module whose cycle is
 // split in two registers with both Register and RegisterOrdered, and
 // keeps in TickOrdered the (small) part of its cycle that must observe
-// other modules' same-cycle effects in a defined order.
+// other modules' same-cycle effects in a defined order. A module whose
+// whole cycle touches state shared across shards (a sink, recording
+// into network-wide statistics) registers with RegisterOrdered alone.
 type OrderedTicker interface {
 	// Name identifies the module in diagnostics.
 	Name() string
@@ -38,8 +40,8 @@ type OrderedTicker interface {
 //  1. tick — every shard's modules tick in registration order, one
 //     worker per shard;
 //  2. ordered — RegisterOrdered modules run TickOrdered on the caller,
-//     in registration order, for the few sub-stages that read state
-//     shared between modules;
+//     in registration order, for the few sub-stages and modules that
+//     touch state shared between modules;
 //  3. latch — each worker latches the dirty wires of its own shard
 //     (wires join their producer's shard in Connect);
 //  4. join — the caller reports the cycle's latch errors in connection
@@ -110,9 +112,11 @@ func (e *Engine) Register(shard int, m Module, g *Gate) {
 
 // RegisterOrdered adds a module to the ordered phase: its TickOrdered
 // runs on the caller after every shard's tick phase, in RegisterOrdered
-// call order. The gate may be the one the module ticks under: the Quiescent contract
-// covers TickOrdered, so a sleeping module's ordered sub-phase is skipped
-// along with its Tick.
+// call order. The gate may be the one the module ticks under: the
+// Quiescent contract covers TickOrdered, so a sleeping module's ordered
+// sub-phase is skipped along with its Tick. A module registered only
+// here gets a gate of its own and sleeps between the wakes its input
+// wires raise.
 func (e *Engine) RegisterOrdered(m OrderedTicker, g *Gate) {
 	e.ordered = append(e.ordered, orderedEntry{m: m, g: g})
 }
@@ -161,8 +165,9 @@ func (e *Engine) Step() error {
 		}
 		// Work the ordered sub-phase finished (a router's staged ring
 		// updates) kept the module awake through the tick phase; let it
-		// sleep now rather than tick idle next cycle. The workers are
-		// parked, so the write races nothing.
+		// sleep now rather than tick idle next cycle. A module ticked
+		// only here (a sink) sleeps the same way. The workers are parked,
+		// so the write races nothing.
 		if oe.g != nil && oe.g.q.Quiescent() {
 			oe.g.awake = false
 		}
