@@ -34,6 +34,9 @@ func TestPinnedResults(t *testing.T) {
 	for name, cfg := range faultedConfigs() {
 		cases["faulted/"+name] = cfg
 	}
+	for name, cfg := range topologyConfigs() {
+		cases["topology/"+name] = cfg
+	}
 	names := make([]string, 0, len(cases))
 	for name := range cases {
 		names = append(names, name)
@@ -96,5 +99,29 @@ func faultedConfigs() map[string]Config {
 		"WH64":     faulted(OnChip4x4(WH64(), 0.10)),
 		"CB":       faulted(ChipToChip4x4(CB(), 0.10)),
 		"VC16-DVS": faulted(dvs),
+	}
+}
+
+// topologyConfigs are the pinned topology cases: 3-D tori under bubble
+// flow control and dateline classes, balanced half-ring ties in two and
+// three dimensions, and a non-square mesh, so every routing path of the
+// grid moves a pinned number.
+func topologyConfigs() map[string]Config {
+	shaped := func(cfg Config, w, h, d int) Config {
+		cfg.Width, cfg.Height, cfg.Depth = w, h, d
+		return cfg
+	}
+	dateline := shaped(OnChip4x4(VC16(), 0.05), 4, 4, 4)
+	dateline.Sim.Deadlock = DeadlockDateline
+	balanced := OnChip4x4(VC16(), 0.10)
+	balanced.BalancedTieRouting = true
+	balanced3D := shaped(OnChip4x4(VC16(), 0.08), 4, 3, 2)
+	balanced3D.BalancedTieRouting = true
+	return map[string]Config{
+		"3x3x3-VC16":          shaped(OnChip4x4(VC16(), 0.08), 3, 3, 3),
+		"4x4x4-VC16-dateline": dateline,
+		"4x4-VC16-balanced":   balanced,
+		"4x3x2-VC16-balanced": balanced3D,
+		"mesh5x3-VC16":        OnChipMesh(5, 3, VC16(), 0.08),
 	}
 }
