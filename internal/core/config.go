@@ -21,7 +21,7 @@ import (
 // Config describes one complete simulation.
 type Config struct {
 	// Topology is the network topology (e.g. the paper's 4×4 torus).
-	Topology topology.Topology
+	Topology *topology.Grid
 	// Router configures every router identically.
 	Router router.Config
 	// Link configures the inter-router links' power behaviour.

@@ -16,7 +16,7 @@ import (
 // testConfig returns a small, fast 4×4 torus VC16-style configuration.
 func testConfig(t *testing.T, rate float64) Config {
 	t.Helper()
-	topo, err := topology.NewTorus(4, 4)
+	topo, err := topology.New([]int{4, 4}, true, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestCentralBufferedTorusRun(t *testing.T) {
 
 func TestMeshRun(t *testing.T) {
 	cfg := testConfig(t, 0.04)
-	topo, err := topology.NewMesh(4, 4)
+	topo, err := topology.New([]int{4, 4}, false, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestChipToChipConstantLinkPower(t *testing.T) {
 // TestLargerNetwork: the simulator scales beyond the paper's 4×4 (an 8×8
 // torus, 64 nodes).
 func TestLargerNetwork(t *testing.T) {
-	topo, err := topology.NewTorus(8, 8)
+	topo, err := topology.New([]int{8, 8}, true, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,25 +346,6 @@ func TestLargerNetwork(t *testing.T) {
 	}
 	if len(res.NodePowerW) != 64 {
 		t.Errorf("node power vector has %d entries", len(res.NodePowerW))
-	}
-}
-
-// TestXFirstDimensionOrder: routing with x before y still delivers
-// (deadlock avoidance is dimension-order-agnostic).
-func TestXFirstDimensionOrder(t *testing.T) {
-	topo, err := topology.NewTorus(4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	topo.Order = topology.XFirst
-	cfg := testConfig(t, 0.06)
-	cfg.Topology = topo
-	res, err := RunConfig(cfg)
-	if err != nil {
-		t.Fatalf("x-first run: %v", err)
-	}
-	if res.SamplePackets != 400 {
-		t.Errorf("measured %d packets", res.SamplePackets)
 	}
 }
 
@@ -472,7 +453,7 @@ func TestFlitConservation(t *testing.T) {
 // TestRingTopology: a Wx1 torus degenerates to a ring; the y dimension has
 // self-links that routing never uses.
 func TestRingTopology(t *testing.T) {
-	topo, err := topology.NewTorus(8, 1)
+	topo, err := topology.New([]int{8, 1}, true, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +473,7 @@ func TestRingTopology(t *testing.T) {
 // TestKAryNCube: a 4-ary 3-cube (64 nodes, 7-port routers) runs end to end
 // with bubble flow control on every ring.
 func TestKAryNCube(t *testing.T) {
-	topo, err := topology.NewNTorus(4, 4, 4)
+	topo, err := topology.New([]int{4, 4, 4}, true, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -533,7 +514,7 @@ func TestKAryNCube(t *testing.T) {
 // TestKAryNCubeSaturated drives a 3-cube VC network past its knee to shake
 // out ring-bubble deadlock issues in three dimensions.
 func TestKAryNCubeSaturated(t *testing.T) {
-	topo, err := topology.NewNTorus(3, 3, 3)
+	topo, err := topology.New([]int{3, 3, 3}, true, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}

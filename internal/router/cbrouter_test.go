@@ -118,7 +118,7 @@ func newCBRig(t *testing.T, cfg Config) *cbRig {
 func cbTestConfig(readPorts int) Config {
 	return Config{
 		Kind: CentralBuffered, Ports: 5, VCs: 1, BufferDepth: 16, FlitBits: 64,
-		CBBanks: 4, CBRows: 64, CBReadPorts: readPorts, CBWritePorts: 2,
+		CBBanks: 4, CBRows: 64, CBReadPorts: readPorts, CBWritePorts: 2, PortDim: portDim2D,
 	}
 }
 

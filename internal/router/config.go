@@ -17,11 +17,7 @@
 // buffer access, arbitration, crossbar traversal and link traversal.
 package router
 
-import (
-	"fmt"
-
-	"orion/internal/topology"
-)
+import "fmt"
 
 // Kind selects a router microarchitecture.
 type Kind int
@@ -104,10 +100,9 @@ type Config struct {
 	Dateline bool
 
 	// PortDim maps each port to the topology dimension it moves along
-	// (-1 for the local port), used by bubble flow control to
-	// distinguish packets continuing around a ring from packets entering
-	// one. Nil falls back to the 2-D convention (north/south = dim 1,
-	// east/west = dim 0).
+	// (-1 for the local and spoke ports), used by bubble flow control
+	// to distinguish packets continuing around a ring from packets
+	// entering one. Ports outside it share no dimension.
 	PortDim []int
 
 	// Speculative lets a head flit bid for the switch in the same cycle
@@ -177,15 +172,12 @@ func (c Config) PipelineStages() int {
 }
 
 // sameDim reports whether two ports move along the same topology
-// dimension, per PortDim or the 2-D default.
+// dimension, per PortDim.
 func (c Config) sameDim(a, b int) bool {
-	if c.PortDim != nil {
-		if a < 0 || a >= len(c.PortDim) || b < 0 || b >= len(c.PortDim) {
-			return false
-		}
-		return c.PortDim[a] >= 0 && c.PortDim[a] == c.PortDim[b]
+	if a < 0 || a >= len(c.PortDim) || b < 0 || b >= len(c.PortDim) {
+		return false
 	}
-	return topology.SameDimension(a, b)
+	return c.PortDim[a] >= 0 && c.PortDim[a] == c.PortDim[b]
 }
 
 // reqSlot maps input port p to its requester slot at output port o's

@@ -141,15 +141,19 @@ func (p *pair) run(t *testing.T, cycles int64) {
 	}
 }
 
+// portDim2D is the dimension each port of a 2-D grid router moves
+// along: north and south, then east and west; the local port has none.
+var portDim2D = []int{0, 0, 1, 1, -1}
+
 func whConfig() Config {
-	return Config{Kind: Wormhole, Ports: 5, VCs: 1, BufferDepth: 16, FlitBits: 64}
+	return Config{Kind: Wormhole, Ports: 5, VCs: 1, BufferDepth: 16, FlitBits: 64, PortDim: portDim2D}
 }
 
 func vcConfig() Config {
-	return Config{Kind: VirtualChannel, Ports: 5, VCs: 2, BufferDepth: 8, FlitBits: 64}
+	return Config{Kind: VirtualChannel, Ports: 5, VCs: 2, BufferDepth: 8, FlitBits: 64, PortDim: portDim2D}
 }
 
 func cbConfig() Config {
 	return Config{Kind: CentralBuffered, Ports: 5, VCs: 1, BufferDepth: 16, FlitBits: 64,
-		CBBanks: 4, CBRows: 64, CBReadPorts: 2, CBWritePorts: 2}
+		CBBanks: 4, CBRows: 64, CBReadPorts: 2, CBWritePorts: 2, PortDim: portDim2D}
 }

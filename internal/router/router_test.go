@@ -411,7 +411,7 @@ func classedHead(class int) *flit.Flit {
 // ignored.
 func TestDatelineVCPartition(t *testing.T) {
 	bus := &sim.Bus{}
-	cfg := Config{Kind: VirtualChannel, Ports: 5, VCs: 4, BufferDepth: 8, FlitBits: 32, Dateline: true}
+	cfg := Config{Kind: VirtualChannel, Ports: 5, VCs: 4, BufferDepth: 8, FlitBits: 32, Dateline: true, PortDim: portDim2D}
 	r, err := NewXB(0, cfg, bus)
 	if err != nil {
 		t.Fatal(err)
@@ -460,7 +460,7 @@ func TestDatelineVCPartition(t *testing.T) {
 // cut-through space and a ring bubble.
 func TestBubbleVCAdmission(t *testing.T) {
 	bus := &sim.Bus{}
-	cfg := Config{Kind: VirtualChannel, Ports: 5, VCs: 2, BufferDepth: 8, FlitBits: 32, Bubble: true}
+	cfg := Config{Kind: VirtualChannel, Ports: 5, VCs: 2, BufferDepth: 8, FlitBits: 32, Bubble: true, PortDim: portDim2D}
 	r, err := NewXB(0, cfg, bus)
 	if err != nil {
 		t.Fatal(err)
@@ -550,17 +550,18 @@ func TestRingAccounting(t *testing.T) {
 // continuing heads one.
 func TestBubbleCredits(t *testing.T) {
 	f := makePacket(1, 5, 64)[0]
-	if got := (Config{}).bubbleCredits(topology.PortSouth, topology.PortNorth, f); got != 5 {
+	cfg := Config{PortDim: portDim2D}
+	if got := cfg.bubbleCredits(topology.PortSouth, topology.PortNorth, f); got != 5 {
 		t.Errorf("continuing head threshold = %d, want 5", got)
 	}
-	if got := (Config{}).bubbleCredits(topology.PortLocal, topology.PortNorth, f); got != 10 {
+	if got := cfg.bubbleCredits(topology.PortLocal, topology.PortNorth, f); got != 10 {
 		t.Errorf("injecting head threshold = %d, want 10", got)
 	}
-	if got := (Config{}).bubbleCredits(topology.PortSouth, topology.PortEast, f); got != 10 {
+	if got := cfg.bubbleCredits(topology.PortSouth, topology.PortEast, f); got != 10 {
 		t.Errorf("turning head threshold = %d, want 10", got)
 	}
 	bare := &flit.Flit{Kind: flit.Head}
-	if got := (Config{}).bubbleCredits(topology.PortLocal, topology.PortNorth, bare); got != 2 {
+	if got := cfg.bubbleCredits(topology.PortLocal, topology.PortNorth, bare); got != 2 {
 		t.Errorf("packet-less head threshold = %d, want 2", got)
 	}
 }

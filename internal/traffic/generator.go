@@ -83,7 +83,7 @@ type NewPacket struct {
 // module class of Section 2.2.
 type Generator struct {
 	cfg    Config
-	topo   topology.Topology
+	topo   *topology.Grid
 	src    *rand.PCG
 	rng    *rand.Rand
 	nextID int64
@@ -125,7 +125,7 @@ type packetBuf struct {
 
 // NewGenerator returns a generator for the given workload on the given
 // topology.
-func NewGenerator(cfg Config, topo topology.Topology) (*Generator, error) {
+func NewGenerator(cfg Config, topo *topology.Grid) (*Generator, error) {
 	if topo == nil {
 		return nil, fmt.Errorf("traffic: topology is required")
 	}

@@ -148,9 +148,9 @@ func TestPatternNames(t *testing.T) {
 	}
 }
 
-func testTopo(t *testing.T) *topology.Torus {
+func testTopo(t *testing.T) *topology.Grid {
 	t.Helper()
-	tp, err := topology.NewTorus(4, 4)
+	tp, err := topology.New([]int{4, 4}, true, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}

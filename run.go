@@ -117,36 +117,17 @@ func resolve(cfg Config) (core.Config, error) {
 	if cfg.Width <= 0 || cfg.Height <= 0 {
 		return out, fmt.Errorf("orion: network dimensions must be positive, got %d×%d", cfg.Width, cfg.Height)
 	}
-	var (
-		topo topology.Topology
-		err  error
-	)
 	if cfg.Concentration > 1 && !cfg.Mesh {
 		return out, fmt.Errorf("orion: Concentration requires Mesh (concentrated torus is not supported)")
 	}
-	switch {
-	case cfg.Depth > 1:
+	radices := []int{cfg.Width, cfg.Height}
+	if cfg.Depth > 1 {
 		if cfg.Mesh {
 			return out, fmt.Errorf("orion: 3-D networks are torus only")
 		}
-		var nt *topology.NTorus
-		nt, err = topology.NewNTorus(cfg.Width, cfg.Height, cfg.Depth)
-		if nt != nil {
-			nt.BalancedTies = cfg.BalancedTieRouting
-			topo = nt
-		}
-	case cfg.Mesh && cfg.Concentration > 1:
-		topo, err = topology.NewCMesh(cfg.Width, cfg.Height, cfg.Concentration)
-	case cfg.Mesh:
-		topo, err = topology.NewMesh(cfg.Width, cfg.Height)
-	default:
-		var torus *topology.Torus
-		torus, err = topology.NewTorus(cfg.Width, cfg.Height)
-		if torus != nil {
-			torus.BalancedTies = cfg.BalancedTieRouting
-			topo = torus
-		}
+		radices = append(radices, cfg.Depth)
 	}
+	topo, err := topology.New(radices, !cfg.Mesh, max(cfg.Concentration, 1), cfg.BalancedTieRouting)
 	if err != nil {
 		return out, err
 	}
