@@ -37,11 +37,12 @@ race-workers:
 	ORION_INVARIANTS=1 ORION_WORKERS=4 $(GO) test -race ./...
 
 # Short fuzz pass over every parser that accepts external input (config
-# JSON, fault specs, trace files, journal formats); CI runs the same
-# targets.
+# JSON, fault and topology specs, trace files, journal formats); CI runs
+# the same targets.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLoadConfigJSON -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzParseFaultSpec -fuzztime 10s .
+	$(GO) test -run '^$$' -fuzz FuzzParseTopologySpec -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzParseTrace -fuzztime 10s ./internal/traffic
 	$(GO) test -run '^$$' -fuzz FuzzLoadSnapshot -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzQueueLine -fuzztime 10s ./internal/queue

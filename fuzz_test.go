@@ -61,6 +61,62 @@ func FuzzParseFaultSpec(f *testing.F) {
 	})
 }
 
+// FuzzParseTopologySpec exercises the -topology grammar. It must never
+// panic; an accepted spec, applied to a base config, either fails
+// Validate or builds; and on a network of at most 64 nodes every route
+// walks existing links to its destination and ends on the local port.
+func FuzzParseTopologySpec(f *testing.F) {
+	for _, spec := range []string{
+		"torus4x4", "torus4x4x4", "TORUS1x5", "torus3x3x1", "mesh5x3", "mesh32x32",
+		"cmesh8x8x4", "cmesh2x2x1", " cmesh1x1x2 ", "mesh0x4", "torusx", "torus4x4x4x4",
+		"torus9223372036854775807x9223372036854775807", "cmesh3x-2x4", "mesh",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		ts, err := ParseTopologySpec(spec)
+		if err != nil {
+			return
+		}
+		cfg := fastConfig(0.05)
+		ts.Apply(&cfg)
+		if cfg.Validate() != nil {
+			return
+		}
+		ccfg, err := resolve(cfg)
+		if err != nil {
+			t.Fatalf("%q passes Validate but does not resolve: %v", spec, err)
+		}
+		g := ccfg.Topology
+		if g.Nodes() > 64 {
+			return
+		}
+		if _, err := NewSim(cfg); err != nil {
+			t.Fatalf("%q passes Validate but does not build: %v", spec, err)
+		}
+		local := g.Ports() - 1
+		for src := 0; src < g.Nodes(); src++ {
+			for dst := 0; dst < g.Nodes(); dst++ {
+				route, err := g.Route(src, dst)
+				if err != nil {
+					t.Fatalf("%q: Route(%d,%d): %v", spec, src, dst, err)
+				}
+				cur := src
+				for _, p := range route[:len(route)-1] {
+					next, ok := g.Neighbor(cur, p)
+					if !ok {
+						t.Fatalf("%q: route %d->%d = %v has no link at node %d port %d", spec, src, dst, route, cur, p)
+					}
+					cur = next
+				}
+				if cur != dst || route[len(route)-1] != local {
+					t.Fatalf("%q: route %d->%d = %v ends at node %d port %d", spec, src, dst, route, cur, route[len(route)-1])
+				}
+			}
+		}
+	})
+}
+
 // FuzzLoadSnapshot throws arbitrary bytes at the snapshot decoder. The
 // decoder must never panic (it is the trust boundary for resume: the file
 // may be torn, truncated, or malicious), and every rejection must carry

@@ -109,9 +109,14 @@ func (e *Engine) NewGate(q interface{ Quiescent() bool }) *Gate {
 
 // drainWakes moves every raised wake bit into its gate's awake flag.
 // Runs on the calling goroutine at the start of a Step, before any
-// worker is released, so it is the only writer racing nothing.
+// worker is released, so it is the only writer racing nothing: no wake
+// can land between the load and the swap, and an idle word is only
+// loaded, never written.
 func (e *Engine) drainWakes() {
 	for wi, w := range e.gateWords {
+		if w.Load() == 0 {
+			continue
+		}
 		raised := w.Swap(0)
 		for raised != 0 {
 			b := bits.TrailingZeros64(raised)
