@@ -7,7 +7,9 @@ import (
 
 // FuzzLoadConfigJSON throws arbitrary bytes at the config loader. It must
 // never panic: either the input is rejected with an error, or it yields a
-// validated config that round-trips through ConfigJSON.
+// validated config that round-trips through ConfigJSON and, on at most 64
+// nodes with at most 1<<16 buffer words, builds with NewSim and passes
+// ComponentEnergies.
 func FuzzLoadConfigJSON(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"Width": 4, "Height": 4}`))
@@ -35,6 +37,18 @@ func FuzzLoadConfigJSON(f *testing.F) {
 		}
 		if _, err := ConfigJSON(cfg); err != nil {
 			t.Fatalf("accepted config does not round-trip: %v", err)
+		}
+		// On a small network it must also build and report energies;
+		// larger configs are skipped so no input allocates much.
+		nodes := cfg.Width * cfg.Height * max(cfg.Depth, 1) * max(cfg.Concentration, 1)
+		if nodes > 64 || cfg.bufferWords() > 1<<16 {
+			return
+		}
+		if _, err := NewSim(cfg); err != nil {
+			t.Fatalf("LoadConfigJSON accepted a config that does not build: %v", err)
+		}
+		if _, err := ComponentEnergies(cfg); err != nil {
+			t.Fatalf("LoadConfigJSON accepted a config ComponentEnergies rejects: %v", err)
 		}
 	})
 }

@@ -219,16 +219,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// ValidateConfig checks a configuration exactly as Build will see it —
-// defaults filled in, then the full cross-field validation — without
-// building anything. The public API uses it for fail-before-Build checks.
-func ValidateConfig(c Config) error {
-	return c.withDefaults().Validate()
-}
-
-// Validate reports an error for an inconsistent configuration, including
-// deadlock-unsafe combinations on torus topologies.
+// Validate reports an error for an inconsistent configuration as Build
+// sees it (defaults filled in), including deadlock-unsafe combinations on
+// torus topologies.
 func (c Config) Validate() error {
+	c = c.withDefaults()
 	if c.Topology == nil {
 		return fmt.Errorf("core: topology is required")
 	}

@@ -9,16 +9,17 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+
+	"orion/internal/snap"
 )
 
 // The result cache: a content-addressed on-disk store of finished
 // simulation outcomes, keyed by the request digest. Each entry is one
-// file written atomically (temp + fsync + rename, the internal/snap
-// discipline), wrapped in a CRC-checked envelope. The cache is designed
-// to survive SIGKILL at any instant: a torn temp file is invisible (the
-// rename never happened), a corrupt or truncated entry fails the CRC and
-// reads as a miss — silently recomputed and overwritten, never served,
-// never fatal.
+// file written atomically (snap.WriteAtomic: temp + fsync + rename),
+// wrapped in a CRC-checked envelope. The cache is designed to survive
+// SIGKILL at any instant: a torn temp file is invisible (the rename never
+// happened), a corrupt or truncated entry fails the CRC and reads as a
+// miss — silently recomputed and overwritten, never served, never fatal.
 
 // cacheMagic identifies a result-cache entry file.
 const cacheMagic = "ORRC"
@@ -143,32 +144,8 @@ func (c *Cache) Put(digest string, payload []byte) error {
 	if len(payload) > maxCacheEntryBytes {
 		return fmt.Errorf("serve: cache: %d-byte payload exceeds the %d-byte entry limit", len(payload), maxCacheEntryBytes)
 	}
-	tmp, err := os.CreateTemp(c.dir, digest+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("serve: cache: creating temp file: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(encodeCacheEntry(payload)); err != nil {
-		tmp.Close()
-		return fmt.Errorf("serve: cache: writing %s: %w", tmp.Name(), err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("serve: cache: syncing %s: %w", tmp.Name(), err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("serve: cache: closing %s: %w", tmp.Name(), err)
-	}
-	if testHoldBeforeRename != nil {
-		testHoldBeforeRename(tmp.Name())
-	}
-	if err := os.Rename(tmp.Name(), c.entryPath(digest)); err != nil {
-		return fmt.Errorf("serve: cache: renaming into place: %w", err)
-	}
-	// Persist the rename; failing that is not worth failing the request.
-	if d, err := os.Open(c.dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
+	if err := snap.WriteAtomic(c.entryPath(digest), encodeCacheEntry(payload), testHoldBeforeRename); err != nil {
+		return fmt.Errorf("serve: cache: %w", err)
 	}
 	c.count(func(s *CacheStats) { s.Puts++ })
 	return nil
@@ -221,24 +198,8 @@ func (c *Cache) FlushIndex() error {
 	if err != nil {
 		return fmt.Errorf("serve: cache: encoding index: %w", err)
 	}
-	tmp, err := os.CreateTemp(c.dir, "index.tmp-*")
-	if err != nil {
-		return fmt.Errorf("serve: cache: creating index temp: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		return fmt.Errorf("serve: cache: writing index: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("serve: cache: syncing index: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("serve: cache: closing index: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(c.dir, "index.json")); err != nil {
-		return fmt.Errorf("serve: cache: renaming index: %w", err)
+	if err := snap.WriteAtomic(filepath.Join(c.dir, "index.json"), append(data, '\n'), nil); err != nil {
+		return fmt.Errorf("serve: cache: flushing index: %w", err)
 	}
 	return nil
 }

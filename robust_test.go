@@ -3,6 +3,8 @@ package orion
 import (
 	"context"
 	"errors"
+	"math"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -290,6 +292,122 @@ func TestValidateAggregates(t *testing.T) {
 	}
 	if err := fastConfig(0.05).Validate(); err != nil {
 		t.Errorf("good config rejected: %v", err)
+	}
+}
+
+// TestEntryPointsValidate checks that every public entry point taking a
+// Config rejects an invalid one with Validate's own field-qualified
+// message: each resolves through the same field pass, so none can
+// silently run or report on a default in place of a bad field.
+func TestEntryPointsValidate(t *testing.T) {
+	ctx := context.Background()
+	entries := []struct {
+		name string
+		call func(Config) error
+	}{
+		{"Run", func(c Config) error { _, err := Run(c); return err }},
+		{"RunContext", func(c Config) error { _, err := RunContext(ctx, c); return err }},
+		{"RunTrace", func(c Config) error { _, err := RunTrace(c, strings.NewReader("0 0 1\n")); return err }},
+		{"NewSim", func(c Config) error { _, err := NewSim(c); return err }},
+		{"ZeroLoadLatency", func(c Config) error { _, err := ZeroLoadLatency(c); return err }},
+		{"SaturationThroughput", func(c Config) error {
+			_, _, _, err := SaturationThroughput(c, []float64{0.05})
+			return err
+		}},
+		{"ComponentEnergies", func(c Config) error { _, err := ComponentEnergies(c); return err }},
+		{"RandomLinkFaults", func(c Config) error {
+			_, err := RandomLinkFaults(c, 1, 2, FaultLinkStall, 0, 0, 0)
+			return err
+		}},
+		{"VerifyEventPath", func(c Config) error { return VerifyEventPath(ctx, c, 100, 200) }},
+		{"Resume", func(c Config) error { _, err := Resume(ctx, c, &Snapshot{}); return err }},
+		{"SweepJournaledContext", func(c Config) error {
+			path := filepath.Join(t.TempDir(), "sweep.jsonl")
+			_, err := SweepJournaledContext(ctx, c, []float64{0.05}, SweepJournalOptions{Path: path})
+			return err
+		}},
+	}
+	invalid := []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"Tech.Vdd=-1", func(c *Config) { c.Tech.Vdd = -1 }},
+		{"Router.VCs=-1", func(c *Config) { c.Router.VCs = -1 }},
+	}
+	for _, inv := range invalid {
+		cfg := fastConfig(0.05)
+		inv.mutate(&cfg)
+		verr := cfg.Validate()
+		if verr == nil {
+			t.Fatalf("%s: Validate accepted the config", inv.name)
+		}
+		want := verr.Error()
+		for _, e := range entries {
+			err := e.call(cfg)
+			if err == nil || err.Error() != want {
+				t.Errorf("%s: %s returned %v, want Validate's %q", inv.name, e.name, err, want)
+			}
+		}
+	}
+}
+
+// TestValidateBoundsBufferState checks the buffer-state bound: a config
+// whose buffers would take more than 1<<26 64-bit words is rejected by
+// Validate and LoadConfigJSON (never built here — a build would allocate
+// it), including products that overflow int64, while every preset passes
+// on the paper's 4×4 torus and on a 32×32 mesh.
+func TestValidateBoundsBufferState(t *testing.T) {
+	// 4×4 torus, 5 ports, one 64-bit word per flit: 80 words per
+	// buffer slot, so depth 838,860 is the last under the bound.
+	atBound := fastConfig(0.05)
+	atBound.Router = RouterConfig{Kind: Wormhole, BufferDepth: (1 << 26) / 80, FlitBits: 64}
+	if err := atBound.Validate(); err != nil {
+		t.Errorf("buffers just under the bound rejected: %v", err)
+	}
+	over := []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"one slot over", func(c *Config) {
+			c.Router = RouterConfig{Kind: Wormhole, BufferDepth: (1<<26)/80 + 1, FlitBits: 64}
+		}},
+		{"billion-flit buffers", func(c *Config) { c.Router.BufferDepth = 1_000_000_000 }},
+		{"huge flits", func(c *Config) { c.Router.FlitBits = 1 << 40 }},
+		{"huge central buffer", func(c *Config) {
+			c.Router = CB()
+			c.Router.CentralBuffer.Rows = 1 << 30
+		}},
+		{"product wraps int64 to zero", func(c *Config) {
+			c.Router.VCs, c.Router.BufferDepth = 1<<32, 1<<32
+		}},
+		{"max ints", func(c *Config) {
+			c.Router.VCs, c.Router.BufferDepth, c.Router.FlitBits = math.MaxInt, math.MaxInt, math.MaxInt
+		}},
+	}
+	for _, tc := range over {
+		cfg := fastConfig(0.05)
+		tc.mutate(&cfg)
+		err := cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), "orion: Router: buffers of") {
+			t.Errorf("%s: Validate = %v, want the buffer bound", tc.name, err)
+		}
+		data, jerr := ConfigJSON(cfg)
+		if jerr != nil {
+			t.Fatal(jerr)
+		}
+		if _, err := LoadConfigJSON(data); err == nil || !strings.Contains(err.Error(), "orion: Router: buffers of") {
+			t.Errorf("%s: LoadConfigJSON = %v, want the buffer bound", tc.name, err)
+		}
+	}
+	for _, p := range []struct {
+		name string
+		r    RouterConfig
+	}{{"WH64", WH64()}, {"VC16", VC16()}, {"VC64", VC64()}, {"VC128", VC128()}, {"XB", XB()}, {"CB", CB()}, {"VC8", VC8()}} {
+		for _, cfg := range []Config{OnChip4x4(p.r, 0.05), OnChipMesh(32, 32, p.r, 0.05)} {
+			if err := cfg.Validate(); err != nil {
+				t.Errorf("%s on %d×%d: %v", p.name, cfg.Width, cfg.Height, err)
+			}
+		}
 	}
 }
 

@@ -110,21 +110,15 @@ type EventCounts struct {
 	CentralBufferReads  int64
 }
 
-// resolve translates the public Config into the internal core.Config.
+// resolve translates the public Config into the internal core.Config,
+// after the field pass: every entry point goes through it.
 func resolve(cfg Config) (core.Config, error) {
 	var out core.Config
-
-	if cfg.Width <= 0 || cfg.Height <= 0 {
-		return out, fmt.Errorf("orion: network dimensions must be positive, got %d×%d", cfg.Width, cfg.Height)
-	}
-	if cfg.Concentration > 1 && !cfg.Mesh {
-		return out, fmt.Errorf("orion: Concentration requires Mesh (concentrated torus is not supported)")
+	if err := cfg.checkFields(); err != nil {
+		return out, err
 	}
 	radices := []int{cfg.Width, cfg.Height}
 	if cfg.Depth > 1 {
-		if cfg.Mesh {
-			return out, fmt.Errorf("orion: 3-D networks are torus only")
-		}
 		radices = append(radices, cfg.Depth)
 	}
 	topo, err := topology.New(radices, !cfg.Mesh, max(cfg.Concentration, 1), cfg.BalancedTieRouting)
@@ -208,9 +202,6 @@ func resolve(cfg Config) (core.Config, error) {
 	}
 
 	nodes := topo.Nodes()
-	if cfg.Traffic.Rate < 0 || cfg.Traffic.Rate > 1 {
-		return out, fmt.Errorf("orion: injection rate %g outside [0,1]", cfg.Traffic.Rate)
-	}
 	tcfg := traffic.Config{
 		PacketLength: cfg.Traffic.PacketLength,
 		FlitBits:     cfg.Router.FlitBits,
@@ -388,14 +379,12 @@ func Run(cfg Config) (*Result, error) {
 // cycles and aborts with an error wrapping ctx.Err() once the context is
 // done. A context without cancellation costs nothing on the hot path.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	ccfg, err := resolve(cfg)
-	if err != nil {
-		return nil, err
-	}
-	n, err := core.Build(ccfg)
+	return simulate(ctx, cfg, nil)
+}
+
+// simulate builds the network, replaying trace if non-nil, and runs it.
+func simulate(ctx context.Context, cfg Config, trace []traffic.TraceRecord) (*Result, error) {
+	n, err := build(cfg, trace)
 	if err != nil {
 		return nil, err
 	}
@@ -404,6 +393,24 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	return fromCore(res, cfg.Traffic.Rate), nil
+}
+
+// build is the one path from a Config to a network: resolve, the trace's
+// node range when a trace is given, then core.Build.
+func build(cfg Config, trace []traffic.TraceRecord) (*core.Network, error) {
+	ccfg, err := resolve(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if trace != nil {
+		for _, r := range trace {
+			if r.Src >= ccfg.Topology.Nodes() || r.Dst >= ccfg.Topology.Nodes() {
+				return nil, fmt.Errorf("orion: trace node %d/%d outside %d-node network", r.Src, r.Dst, ccfg.Topology.Nodes())
+			}
+		}
+		ccfg.Trace = traffic.NewTrace(trace)
+	}
+	return core.Build(ccfg)
 }
 
 // RunTrace runs the configuration with packet injections replayed from a
@@ -424,24 +431,7 @@ func RunTrace(cfg Config, trace io.Reader) (*Result, error) {
 	}
 	cfg.Traffic.Pattern = Uniform()
 	cfg.Traffic.Rate = 0
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	ccfg, err := resolve(cfg)
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range recs {
-		if r.Src >= ccfg.Topology.Nodes() || r.Dst >= ccfg.Topology.Nodes() {
-			return nil, fmt.Errorf("orion: trace node %d/%d outside %d-node network", r.Src, r.Dst, ccfg.Topology.Nodes())
-		}
-	}
-	ccfg.Trace = traffic.NewTrace(recs)
-	res, err := core.RunConfig(ccfg)
-	if err != nil {
-		return nil, err
-	}
-	return fromCore(res, 0), nil
+	return simulate(context.Background(), cfg, recs)
 }
 
 // ZeroLoadLatency measures the configuration's contention-free latency.

@@ -23,21 +23,11 @@ type Sim struct {
 	cfg    Config
 	net    *core.Network
 	digest []byte
-	// res caches the completed result so snapshots taken after
-	// completion still see a finished run.
-	res *Result
 }
 
 // NewSim builds a simulation from the configuration without running it.
 func NewSim(cfg Config) (*Sim, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	ccfg, err := resolve(cfg)
-	if err != nil {
-		return nil, err
-	}
-	n, err := core.Build(ccfg)
+	n, err := build(cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -91,8 +81,7 @@ func (s *Sim) RunContext(ctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.res = fromCore(res, s.cfg.Traffic.Rate)
-	return s.res, nil
+	return fromCore(res, s.cfg.Traffic.Rate), nil
 }
 
 // Snapshot captures the simulation's state at the current cycle boundary.

@@ -1,19 +1,30 @@
 package orion
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-
-	"orion/internal/core"
+	"math"
 )
 
 // Validate checks the configuration without running it, aggregating every
 // detectable problem into one error (errors.Join) with field-qualified
 // messages, so a hand-written or JSON-loaded configuration reports all its
-// mistakes at once instead of one per run attempt. Run, RunContext, Sweep,
-// SweepContext and LoadConfigJSON all call it, so explicit calls are only
-// needed to fail early (e.g. validating user input before a long sweep).
+// mistakes at once instead of one per run attempt. Every entry point
+// taking a Config resolves through the same checks, so explicit calls are
+// only needed to fail early (e.g. validating user input before a long
+// sweep).
 func (cfg Config) Validate() error {
+	ccfg, err := resolve(cfg)
+	if err != nil {
+		return err
+	}
+	return ccfg.Validate()
+}
+
+// checkFields is the field pass resolve runs first: every problem
+// visible in one field or a few, joined into one error.
+func (cfg Config) checkFields() error {
 	var errs []error
 	check := func(ok bool, field, format string, args ...any) {
 		if !ok {
@@ -43,6 +54,12 @@ func (cfg Config) Validate() error {
 		"must not be negative, got %d", cfg.Router.BufferDepth)
 	check(cfg.Router.FlitBits >= 0, "Router.FlitBits",
 		"must not be negative, got %d", cfg.Router.FlitBits)
+	// Bound the buffer state too (512 MiB): a 4×4 network is small in
+	// nodes, but a billion-flit buffer on it would allocate tens of GB.
+	const maxBufferWords = 1 << 26
+	words := cfg.bufferWords()
+	check(words <= maxBufferWords, "Router",
+		"buffers of %.0f 64-bit words exceed the %d-word limit", words, maxBufferWords)
 	check(cfg.Link.LengthMm >= 0, "Link.LengthMm",
 		"must not be negative, got %g", cfg.Link.LengthMm)
 	check(cfg.Link.ConstantWatts >= 0, "Link.ConstantWatts",
@@ -89,18 +106,29 @@ func (cfg Config) Validate() error {
 		}
 	}
 
-	if len(errs) > 0 {
-		// The shallow errors already cover anything resolve would reject;
-		// resolving on top would only duplicate diagnostics.
-		return errors.Join(errs...)
-	}
+	return errors.Join(errs...)
+}
 
-	// Deep cross-field validation: resolve to the internal configuration
-	// and check it exactly as Build will see it (defaults applied), so
-	// topology/router/fault inconsistencies surface before any run.
-	ccfg, err := resolve(cfg)
-	if err != nil {
-		return err
+// bufferWords is the buffer state a build of cfg allocates, in 64-bit
+// words: BufferDepth flits per (node, port, VC), plus Banks × Rows flits
+// per node for central buffers. Float64 keeps the product overflow-free
+// (VCs and the sizes are not capped before router.Validate) and exact
+// far above maxBufferWords.
+func (cfg Config) bufferWords() float64 {
+	f := func(n int) float64 { return float64(max(n, 0)) }
+	c := f(max(cfg.Concentration, 1))
+	ports := 4 + c
+	if cfg.Depth > 1 {
+		ports += 2
 	}
-	return core.ValidateConfig(ccfg)
+	vcs := 1.0
+	if cfg.Router.Kind == VirtualChannel {
+		vcs = f(cmp.Or(cfg.Router.VCs, 2)) // resolve's default
+	}
+	flits := ports * vcs * f(cfg.Router.BufferDepth)
+	if cfg.Router.Kind == CentralBuffered {
+		flits += f(cfg.Router.CentralBuffer.Banks) * f(cfg.Router.CentralBuffer.Rows)
+	}
+	nodes := f(cfg.Width) * f(cfg.Height) * f(max(cfg.Depth, 1)) * c
+	return nodes * flits * math.Ceil(f(cfg.Router.FlitBits)/64)
 }
