@@ -86,6 +86,28 @@ func TestDesignQuotesBenchJSON(t *testing.T) {
 		check("BenchmarkMesh32VC8LowLoadAlwaysTick", "ns/op", m[2])
 	}
 
+	// The mask-driven allocation paragraph: before → after medians,
+	// the before side in each row's before- fields.
+	const dec = `([0-9][0-9,]*(?:\.[0-9]+)?)`
+	for _, q := range []struct{ bench, metric string }{
+		{"BenchmarkFig5VC64Workers1", "allocs/op"},
+		{"BenchmarkFig7aXB", "B/op"},
+		{"BenchmarkRouterTickVC", ""},
+	} {
+		pattern := "`" + q.bench + "` " + dec + " → " + dec + " ns/op"
+		if q.metric != "" {
+			pattern += " \\(" + dec + " → " + dec + " " + regexp.QuoteMeta(q.metric) + "\\)"
+		}
+		if m := find(pattern); m != nil {
+			check(q.bench, "before-ns/op", m[1])
+			check(q.bench, "ns/op", m[2])
+			if q.metric != "" {
+				check(q.bench, "before-"+q.metric, m[3])
+				check(q.bench, q.metric, m[4])
+			}
+		}
+	}
+
 	// The worker-cutoff table: one row per mesh size, 1 and 2 workers.
 	cutoff := regexp.MustCompile(`\| ([0-9]+)×[0-9]+ \| [0-9]+ \| `+num+` \| `+num+` \|`).FindAllStringSubmatch(text, -1)
 	if len(cutoff) == 0 {

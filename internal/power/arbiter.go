@@ -183,9 +183,13 @@ func (m *ArbiterModel) PriorityBits() int {
 type ArbiterState struct {
 	model   *ArbiterModel
 	lastReq uint64
-	// pri[i][j] (i<j) is true when requester i has priority over j
-	// (matrix arbiter).
-	pri [][]bool
+	// all has one bit per requester.
+	all uint64
+	// row[i] bit j and col[j] bit i are both set when requester i has
+	// priority over requester j (matrix arbiter): the priority matrix
+	// as bitboards by row and by column, so a grant's flips are two
+	// popcounts.
+	row, col []uint64
 	// ptr is the round-robin pointer position.
 	ptr int
 	// queue tracks the queuing arbiter's request FIFO switching.
@@ -194,16 +198,15 @@ type ArbiterState struct {
 
 // NewArbiterState returns a tracker for one arbiter instance.
 func NewArbiterState(m *ArbiterModel) *ArbiterState {
-	s := &ArbiterState{model: m}
+	R := m.Config.Requesters
+	s := &ArbiterState{model: m, all: ^uint64(0) >> uint(64-R)}
 	if m.Config.Kind == MatrixArbiter {
-		R := m.Config.Requesters
-		s.pri = make([][]bool, R)
-		for i := range s.pri {
-			s.pri[i] = make([]bool, R)
-			for j := range s.pri[i] {
-				// Initial priority: lower index wins.
-				s.pri[i][j] = i < j
-			}
+		// Initial priority: lower index wins.
+		s.row = make([]uint64, R)
+		s.col = make([]uint64, R)
+		for i := range s.row {
+			s.row[i] = s.all &^ (uint64(2)<<uint(i) - 1)
+			s.col[i] = uint64(1)<<uint(i) - 1
 		}
 	}
 	if m.Config.Kind == QueuingArbiter {
@@ -223,9 +226,7 @@ func (s *ArbiterState) Model() *ArbiterModel { return s.model }
 func (s *ArbiterState) Arbitrate(req uint64, winner int) (float64, error) {
 	m := s.model
 	R := m.Config.Requesters
-	if R < 64 {
-		req &= (uint64(1) << uint(R)) - 1
-	}
+	req &= s.all
 	if winner >= R {
 		return 0, fmt.Errorf("power: arbiter winner %d out of range [0,%d)", winner, R)
 	}
@@ -244,22 +245,21 @@ func (s *ArbiterState) Arbitrate(req uint64, winner int) (float64, error) {
 
 	switch m.Config.Kind {
 	case MatrixArbiter:
-		// Granted requester drops below all others: pri[winner][j]
-		// clears, pri[j][winner] sets. Count actual bit flips and
-		// charge the flip-flop latch plus the priority-line loads.
-		toggles := 0
-		for j := 0; j < R; j++ {
-			if j == winner {
-				continue
-			}
-			if s.pri[winner][j] {
-				s.pri[winner][j] = false
-				toggles++
-			}
-			if !s.pri[j][winner] {
-				s.pri[j][winner] = true
-				toggles++
-			}
+		// Granted requester drops below all others: row[winner]
+		// clears and col[winner] fills. Count actual bit flips, write
+		// only the flipped bits' mirrors, and charge the flip-flop
+		// latch plus the priority-line loads.
+		self := uint64(1) << uint(winner)
+		lost := s.row[winner]
+		gained := s.all &^ s.col[winner] &^ self
+		toggles := bits.OnesCount64(lost) + bits.OnesCount64(gained)
+		s.row[winner] = 0
+		s.col[winner] = s.all &^ self
+		for b := lost; b != 0; b &= b - 1 {
+			s.col[bits.TrailingZeros64(b)] &^= self
+		}
+		for b := gained; b != 0; b &= b - 1 {
+			s.row[bits.TrailingZeros64(b)] |= self
 		}
 		e += m.FF.LatchEnergy(m.PriorityBits(), toggles)
 		e += float64(toggles) * m.EPri

@@ -1,7 +1,10 @@
 package power
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -242,5 +245,112 @@ func TestFlipFlopModel(t *testing.T) {
 	var bad tech.Params
 	if _, err := NewFlipFlop(bad); err == nil {
 		t.Error("invalid tech should be rejected")
+	}
+}
+
+// matrixOracle is the [][]bool priority matrix the bitboard ArbiterState
+// replaced, kept as its oracle: pri[i][j] is true when requester i has
+// priority over j, and a grant walks the winner's row and column.
+type matrixOracle struct {
+	m       *ArbiterModel
+	lastReq uint64
+	pri     [][]bool
+}
+
+func newMatrixOracle(m *ArbiterModel) *matrixOracle {
+	R := m.Config.Requesters
+	o := &matrixOracle{m: m, pri: make([][]bool, R)}
+	for i := range o.pri {
+		o.pri[i] = make([]bool, R)
+		for j := range o.pri[i] {
+			o.pri[i][j] = i < j
+		}
+	}
+	return o
+}
+
+func (o *matrixOracle) arbitrate(req uint64, winner int) (float64, error) {
+	m := o.m
+	R := m.Config.Requesters
+	if R < 64 {
+		req &= (uint64(1) << uint(R)) - 1
+	}
+	if winner >= R {
+		return 0, fmt.Errorf("power: arbiter winner %d out of range [0,%d)", winner, R)
+	}
+	if winner >= 0 && req&(uint64(1)<<uint(winner)) == 0 {
+		return 0, fmt.Errorf("power: arbiter winner %d did not request (vector %b)", winner, req)
+	}
+	dreq := bits.OnesCount64(req ^ o.lastReq)
+	o.lastReq = req
+	e := m.RequestEnergy(dreq)
+	if winner < 0 {
+		return e, nil
+	}
+	e += m.GrantEnergy()
+	toggles := 0
+	for j := 0; j < R; j++ {
+		if j == winner {
+			continue
+		}
+		if o.pri[winner][j] {
+			o.pri[winner][j] = false
+			toggles++
+		}
+		if !o.pri[j][winner] {
+			o.pri[j][winner] = true
+			toggles++
+		}
+	}
+	e += m.FF.LatchEnergy(m.PriorityBits(), toggles)
+	e += float64(toggles) * m.EPri
+	return e, nil
+}
+
+// TestMatrixArbiterMatchesOracle: over random request and winner
+// sequences the bitboard matrix arbiter charges bit-identical energies
+// and returns the same errors as the [][]bool oracle, for widths from 1
+// to 64 and for winners that are -1, did not request, or are out of
+// range; at the end of each sequence both bitboards mirror the oracle's
+// matrix.
+func TestMatrixArbiterMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, R := range []int{1, 2, 3, 7, 8, 16, 63, 64} {
+		m := mustArbiter(t, ArbiterConfig{Kind: MatrixArbiter, Requesters: R})
+		for seq := 0; seq < 1250; seq++ {
+			s, o := NewArbiterState(m), newMatrixOracle(m)
+			for step := 0; step < 40; step++ {
+				req := rng.Uint64() >> uint(rng.Intn(64))
+				winner := -1
+				switch k := rng.Intn(10); {
+				case k == 0: // no grant
+				case k == 1: // out of range
+					winner = R + rng.Intn(3)
+				case k == 2: // any index, requesting or not
+					winner = rng.Intn(R)
+				default: // a random requester, when there is one
+					if r := req & s.all; r != 0 {
+						for k := rng.Intn(bits.OnesCount64(r)); k > 0; k-- {
+							r &= r - 1
+						}
+						winner = bits.TrailingZeros64(r)
+					}
+				}
+				got, gerr := s.Arbitrate(req, winner)
+				want, werr := o.arbitrate(req, winner)
+				if math.Float64bits(got) != math.Float64bits(want) || fmt.Sprint(gerr) != fmt.Sprint(werr) {
+					t.Fatalf("R=%d seq %d step %d Arbitrate(%#x, %d) = %v, %v; oracle %v, %v",
+						R, seq, step, req, winner, got, gerr, want, werr)
+				}
+			}
+			for i := 0; i < R; i++ {
+				for j := 0; j < R; j++ {
+					if s.row[i]>>uint(j)&1 == 1 != o.pri[i][j] || s.col[j]>>uint(i)&1 == 1 != o.pri[i][j] {
+						t.Fatalf("R=%d seq %d: pri[%d][%d] = %v, row %#x col %#x",
+							R, seq, i, j, o.pri[i][j], s.row[i], s.col[j])
+					}
+				}
+			}
+		}
 	}
 }

@@ -229,6 +229,29 @@ func TestBufferStateIdenticalWritesCheapest(t *testing.T) {
 	}
 }
 
+// TestBufferStateRowWidth: a payload shorter than the flit is written
+// zero-extended, so the cells and bitlines it leaves are compared as
+// zeros, and a payload wider than the flit panics instead of growing the
+// row.
+func TestBufferStateRowWidth(t *testing.T) {
+	m := mustBuffer(t, BufferConfig{Flits: 1, FlitBits: 128, ReadPorts: 1, WritePorts: 1})
+	s := NewBufferState(m)
+	s.Write([]uint64{0xFF, 0xF})
+	// One word: the second word's four set cells and bitlines clear.
+	if e, want := s.Write([]uint64{0xFF}), m.WriteEnergy(4, 4); e != want {
+		t.Errorf("short write energy = %g, want %g", e, want)
+	}
+	if e, want := s.Write(nil), m.WriteEnergy(8, 8); e != want {
+		t.Errorf("empty write energy = %g, want %g", e, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a three-word payload into two-word rows did not panic")
+		}
+	}()
+	s.Write([]uint64{1, 2, 3})
+}
+
 func TestCopyInto(t *testing.T) {
 	dst := make([]uint64, 2)
 	copyInto(&dst, []uint64{1, 2, 3})

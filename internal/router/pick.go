@@ -1,5 +1,7 @@
 package router
 
+import "math/bits"
+
 // picker selects grant winners round-robin among requesters. It provides
 // the functional behaviour of the router's arbiters; the energy of each
 // arbitration is computed by the power models hooked to the event bus,
@@ -20,16 +22,16 @@ func (p *picker) pick(req uint64) int {
 	if req == 0 {
 		return -1
 	}
-	// Scan from the pointer with wraparound: first requester at or after
-	// the pointer wins.
-	for i := 0; i < p.n; i++ {
-		w := (p.ptr + i) % p.n
-		if req&(1<<uint(w)) != 0 {
-			p.ptr = (w + 1) % p.n
-			return w
-		}
+	// The first requester at or after the pointer wins; with none
+	// there, the search wraps to the lowest requester.
+	w := bits.TrailingZeros64(req &^ mask(p.ptr))
+	if w == 64 {
+		w = bits.TrailingZeros64(req)
 	}
-	return -1
+	if p.ptr = w + 1; p.ptr == p.n {
+		p.ptr = 0
+	}
+	return w
 }
 
 func mask(n int) uint64 {

@@ -1,9 +1,75 @@
 package router
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// scanPick is the wrap-around scan picker.pick replaced, kept as its
+// oracle: the first requester at or after the pointer wins.
+func scanPick(p *picker, req uint64) int {
+	if p.n <= 0 || p.n > 64 {
+		return -1
+	}
+	req &= mask(p.n)
+	if req == 0 {
+		return -1
+	}
+	for i := 0; i < p.n; i++ {
+		w := (p.ptr + i) % p.n
+		if req&(1<<uint(w)) != 0 {
+			p.ptr = (w + 1) % p.n
+			return w
+		}
+	}
+	return -1
+}
+
+// TestPickerMatchesScanOracle: pick returns the scan's winner and leaves
+// the scan's pointer, for every width and pointer on edge vectors (empty,
+// full, bit 63, bits at or above the width, each single bit) and on
+// random vectors, and along random request sequences.
+func TestPickerMatchesScanOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	check := func(n, ptr int, req uint64) {
+		t.Helper()
+		got, want := picker{n: n, ptr: ptr}, picker{n: n, ptr: ptr}
+		if g, w := got.pick(req), scanPick(&want, req); g != w || got.ptr != want.ptr {
+			t.Fatalf("n=%d ptr=%d req=%#x: pick = %d (ptr %d), scan = %d (ptr %d)",
+				n, ptr, req, g, got.ptr, w, want.ptr)
+		}
+	}
+	randoms := 0
+	for n := 1; n <= 64; n++ {
+		edges := []uint64{0, ^uint64(0), 1 << 63, ^mask(n), mask(n), ^mask(n) | 1}
+		for b := 0; b < 64; b++ {
+			edges = append(edges, 1<<uint(b))
+		}
+		for ptr := 0; ptr < n; ptr++ {
+			for _, req := range edges {
+				check(n, ptr, req)
+			}
+			for i := 0; i < 4; i++ {
+				check(n, ptr, rng.Uint64()&rng.Uint64()) // sparse
+				check(n, ptr, rng.Uint64())
+				randoms += 2
+			}
+		}
+	}
+	for randoms < 20_000 {
+		n := 1 + rng.Intn(64)
+		got, want := picker{n: n}, picker{n: n}
+		for i := 0; i < 50; i++ {
+			req := rng.Uint64() >> uint(rng.Intn(64))
+			if g, w := got.pick(req), scanPick(&want, req); g != w || got.ptr != want.ptr {
+				t.Fatalf("n=%d step %d req=%#x: pick = %d (ptr %d), scan = %d (ptr %d)",
+					n, i, req, g, got.ptr, w, want.ptr)
+			}
+			randoms++
+		}
+	}
+}
 
 func TestPickerRoundRobin(t *testing.T) {
 	p := picker{n: 4}

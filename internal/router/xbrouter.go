@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"math/bits"
 
 	"orion/internal/fault"
 	"orion/internal/flit"
@@ -93,11 +94,16 @@ type XBRouter struct {
 
 	in  [][]inputVC
 	out [][]outputVC
+	// held[p] has bit v set while input VC (p, v) buffers a flit, so the
+	// allocation stages visit only occupied VCs.
+	held []uint64
 
 	stExec []grant
 	// cand is the per-stage scratch for the winning VC per input port,
-	// reused across cycles so allocation stages never allocate.
-	cand []int
+	// and outReq for each output port's request vector, reused across
+	// cycles so allocation stages never allocate.
+	cand   []int
+	outReq []uint64
 
 	saIn, saOut []picker
 	vaIn, vaOut []picker
@@ -135,7 +141,9 @@ func NewXB(node int, cfg Config, bus *sim.Bus) (*XBRouter, error) {
 		linkSide: newLinkSide(fmt.Sprintf("router%d(%s)", node, cfg.Kind), node, cfg, bus),
 		in:       make([][]inputVC, cfg.Ports),
 		out:      make([][]outputVC, cfg.Ports),
+		held:     make([]uint64, cfg.Ports),
 		cand:     make([]int, cfg.Ports),
+		outReq:   make([]uint64, cfg.Ports),
 		saIn:     make([]picker, cfg.Ports),
 		saOut:    make([]picker, cfg.Ports),
 		vaIn:     make([]picker, cfg.Ports),
@@ -220,9 +228,12 @@ func (r *XBRouter) Quiescent() bool {
 		return false
 	}
 	for p := range r.in {
+		if r.held[p] != 0 {
+			return false
+		}
 		for v := range r.in[p] {
 			ivc := &r.in[p][v]
-			if ivc.q.len() != 0 || ivc.state != vcIdle || ivc.pendingST {
+			if ivc.state != vcIdle || ivc.pendingST {
 				return false
 			}
 		}
@@ -343,6 +354,7 @@ func (r *XBRouter) acceptFlit(cycle int64, port int, f *flit.Flit) error {
 		return fmt.Errorf("buffer overflow at port %d vc %d: flow control violated by %v", port, f.VC, f)
 	}
 	ivc.q.push(f)
+	r.held[port] |= 1 << uint(f.VC)
 	ev := r.bus.Begin(sim.EvBufferWrite, cycle, r.node)
 	ev.Port, ev.VC, ev.Data = port, f.VC, f.Payload
 	r.bus.Publish()
@@ -388,6 +400,9 @@ func (r *XBRouter) switchTraversal(cycle int64) error {
 		f, ok := ivc.q.pop()
 		if !ok {
 			return fmt.Errorf("ST grant for empty queue %d/%d", g.inPort, g.inVC)
+		}
+		if ivc.q.len() == 0 {
+			r.held[g.inPort] &^= 1 << uint(g.inVC)
 		}
 		ivc.pendingST = false
 		// Ring slots exist only on routers that defer their rings, so
@@ -486,8 +501,8 @@ func (r *XBRouter) switchAllocation(cycle int64) error {
 	for p := 0; p < r.cfg.Ports; p++ {
 		candidate[p] = -1
 		var req uint64
-		for v := 0; v < r.cfg.VCs; v++ {
-			if r.saEligible(p, v) {
+		for h := r.held[p]; h != 0; h &= h - 1 {
+			if v := bits.TrailingZeros64(h); r.saEligible(p, v) {
 				req |= 1 << uint(v)
 			}
 		}
@@ -512,18 +527,11 @@ func (r *XBRouter) switchAllocation(cycle int64) error {
 	}
 
 	// Stage 2: per output port, pick one input among the candidates.
+	r.requestOutputs()
 	for o := 0; o < r.cfg.Ports; o++ {
+		req := r.outReq[o]
 		if r.outFree[o] > cycle+1 {
 			continue // link throttled (e.g. DVS at reduced frequency)
-		}
-		var req uint64
-		for p := 0; p < r.cfg.Ports; p++ {
-			if p == o || candidate[p] < 0 {
-				continue
-			}
-			if r.in[p][candidate[p]].outPort == o {
-				req |= 1 << uint(reqSlot(o, p))
-			}
 		}
 		if req == 0 {
 			continue
@@ -570,15 +578,13 @@ func (r *XBRouter) vcAllocation(cycle int64) {
 	for p := 0; p < r.cfg.Ports; p++ {
 		candidate[p] = -1
 		var req uint64
-		for v := 0; v < r.cfg.VCs; v++ {
+		for h := r.held[p]; h != 0; h &= h - 1 {
+			v := bits.TrailingZeros64(h)
 			ivc := &r.in[p][v]
 			if ivc.state != vcWaitVA {
 				continue
 			}
-			f, ok := ivc.q.front()
-			if !ok {
-				continue
-			}
+			f, _ := ivc.q.front()
 			if r.allocatableVC(ivc.outPort, f, p) < 0 {
 				continue
 			}
@@ -599,16 +605,9 @@ func (r *XBRouter) vcAllocation(cycle int64) {
 		r.bus.Publish()
 	}
 
+	r.requestOutputs()
 	for o := 0; o < r.cfg.Ports; o++ {
-		var req uint64
-		for p := 0; p < r.cfg.Ports; p++ {
-			if p == o || candidate[p] < 0 {
-				continue
-			}
-			if r.in[p][candidate[p]].outPort == o {
-				req |= 1 << uint(reqSlot(o, p))
-			}
-		}
+		req := r.outReq[o]
 		if req == 0 {
 			continue
 		}
@@ -636,6 +635,22 @@ func (r *XBRouter) vcAllocation(cycle int64) {
 		// concurrent admissions elsewhere see the space as taken.
 		if ref := r.outRings[o][ovcIdx]; ref != nil {
 			ref.ring.Add(ref.idx, packetLength(headFlit))
+		}
+	}
+}
+
+// requestOutputs builds each output port's request vector from the
+// stage-1 winners in r.cand, in one pass over the inputs: bit
+// reqSlot(o, p) of outReq[o] is set when input p's candidate routes to
+// o. An input never requests its own port.
+func (r *XBRouter) requestOutputs() {
+	clear(r.outReq)
+	for p, v := range r.cand {
+		if v < 0 {
+			continue
+		}
+		if o := r.in[p][v].outPort; o != p {
+			r.outReq[o] |= 1 << uint(reqSlot(o, p))
 		}
 	}
 }

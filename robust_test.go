@@ -411,6 +411,47 @@ func TestValidateBoundsBufferState(t *testing.T) {
 	}
 }
 
+// TestValidateBoundsRouterPorts checks the router port bound: a crossbar
+// router's output arbiters take ports-1 requesters and a central buffer's
+// arbiters take ports, each a one-word request vector, so concentrated
+// meshes of 65 and 64 ports build while one more terminal per cluster is
+// rejected by Validate with the field named, and by NewSim with the same
+// message rather than the power model's.
+func TestValidateBoundsRouterPorts(t *testing.T) {
+	small := func(r RouterConfig) RouterConfig {
+		r.BufferDepth, r.FlitBits = 4, 64
+		r.CentralBuffer.Rows = 16
+		return r
+	}
+	for _, tc := range []struct {
+		name     string
+		r        RouterConfig
+		maxPorts int
+	}{{"WH64", small(WH64()), 65}, {"VC16", small(VC16()), 65}, {"CB", small(CB()), 64}} {
+		cfg := OnChipMesh(1, 1, tc.r, 0.01)
+		cfg.Concentration = tc.maxPorts - 4
+		if _, err := NewSim(cfg); err != nil {
+			t.Errorf("%s with %d ports: %v", tc.name, tc.maxPorts, err)
+		}
+		cfg.Concentration++
+		verr := cfg.Validate()
+		if verr == nil || !strings.Contains(verr.Error(), "orion: Concentration: ") {
+			t.Errorf("%s with %d ports: Validate = %v, want the port bound", tc.name, tc.maxPorts+1, verr)
+			continue
+		}
+		if _, err := NewSim(cfg); err == nil || err.Error() != verr.Error() {
+			t.Errorf("%s with %d ports: NewSim = %v, want Validate's %q", tc.name, tc.maxPorts+1, err, verr)
+		}
+	}
+	// A 2×2 mesh of 70 terminals per cluster (74 ports) once passed
+	// Validate and failed only in NewSim.
+	cfg := OnChipMesh(2, 2, VC16(), 0.01)
+	cfg.Concentration = 70
+	if err := cfg.Validate(); err == nil {
+		t.Error("Validate accepted 74-port routers")
+	}
+}
+
 // TestParseFaultSpec exercises the CLI fault grammar.
 func TestParseFaultSpec(t *testing.T) {
 	fs, err := ParseFaultSpec("link-stall:3:1, bit-flip:0:2:1000:500:0.01,link-drop:5:0:200")

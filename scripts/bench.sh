@@ -2,11 +2,11 @@
 # bench.sh — record the hot-path benchmark numbers to BENCH_hotpath.json.
 #
 # Runs the micro-benchmarks guarding the event hot path (Bus.Publish, the
-# router tick, the full Figure-5 VC64 run and the simulator speed figure)
-# plus the checkpointing overhead pair (run with snapshots disabled vs a
-# snapshot every 1000 cycles) and the parallel-kernel worker-count scaling
-# sweeps (Fig5 VC64 and the 1024-node 32x32 mesh, each at 1/2/4/8 tick
-# workers, plus BenchmarkWorkerCutoff: 1 vs 2 workers on k x k meshes from
+# router tick, the full Figure-5 VC64 run, the Figure-7 chip-to-chip XB
+# run and the simulator speed figure) plus the checkpointing overhead pair
+# (run with snapshots disabled vs a snapshot every 1000 cycles) and the
+# parallel-kernel worker-count scaling sweeps (Fig5 VC64 and the
+# 1024-node 32x32 mesh, each at 1/2/4/8 tick workers, plus BenchmarkWorkerCutoff: 1 vs 2 workers on k x k meshes from
 # 16 to 1024 nodes, the rows that size the sequential cutoff for auto
 # workers in internal/core/config.go), and writes one JSON document with
 # ns/op, B/op, allocs/op and the custom metrics (sim-cycles/sec, latency,
@@ -49,7 +49,7 @@ SCALING=false
 {
     go test ./internal/sim -run '^$' -bench 'BenchmarkBusPublish' -benchtime "$BENCHTIME" -benchmem
     go test ./internal/router -run '^$' -bench 'BenchmarkRouterTick' -benchtime "$BENCHTIME" -benchmem
-    go test . -run '^$' -bench 'BenchmarkFig5VC64$|BenchmarkFig5VC64LowLoad$|BenchmarkSimulatorSpeed$|BenchmarkRunNoSnapshot$|BenchmarkRunSnapshotEvery1k$|BenchmarkMesh32VC8Workers1$|BenchmarkMesh32VC8LowLoad$|BenchmarkMesh32VC8LowLoadAlwaysTick$' -benchtime "$BENCHTIME" -benchmem
+    go test . -run '^$' -bench 'BenchmarkFig5VC64$|BenchmarkFig5VC64LowLoad$|BenchmarkFig7aXB$|BenchmarkSimulatorSpeed$|BenchmarkRunNoSnapshot$|BenchmarkRunSnapshotEvery1k$|BenchmarkMesh32VC8Workers1$|BenchmarkMesh32VC8LowLoad$|BenchmarkMesh32VC8LowLoadAlwaysTick$' -benchtime "$BENCHTIME" -benchmem
     if [ "$WORKERS_SWEEP" != "0" ]; then
         go test . -run '^$' -bench 'BenchmarkFig5VC64Workers[1248]$|BenchmarkMesh32VC8Workers[248]$|BenchmarkWorkerCutoff' -benchtime "$BENCHTIME" -benchmem
     fi

@@ -49,6 +49,15 @@ func (cfg Config) checkFields() error {
 		"must not be negative, got %d", cfg.Concentration)
 	check(cfg.Concentration <= 1 || cfg.Mesh, "Concentration",
 		"requires Mesh (concentrated torus is not supported)")
+	// A router's arbiters take one-word request vectors: a crossbar
+	// router's output arbiters have ports-1 requesters and a central
+	// buffer's write and read arbiters have ports.
+	maxPorts := 65
+	if cfg.Router.Kind == CentralBuffered {
+		maxPorts = 64
+	}
+	check(cfg.routerPorts() <= float64(maxPorts), "Concentration",
+		"%.0f-port routers exceed the %d-port limit of %s routers", cfg.routerPorts(), maxPorts, cfg.Router.Kind)
 	check(cfg.Router.VCs >= 0, "Router.VCs", "must not be negative, got %d", cfg.Router.VCs)
 	check(cfg.Router.BufferDepth >= 0, "Router.BufferDepth",
 		"must not be negative, got %d", cfg.Router.BufferDepth)
@@ -109,6 +118,17 @@ func (cfg Config) checkFields() error {
 	return errors.Join(errs...)
 }
 
+// routerPorts is the port count of every router a build of cfg makes:
+// two per dimension plus one local port per terminal, in float64 so no
+// Concentration overflows it.
+func (cfg Config) routerPorts() float64 {
+	ports := 4 + float64(max(cfg.Concentration, 1))
+	if cfg.Depth > 1 {
+		ports += 2
+	}
+	return ports
+}
+
 // bufferWords is the buffer state a build of cfg allocates, in 64-bit
 // words: BufferDepth flits per (node, port, VC), plus Banks × Rows flits
 // per node for central buffers. Float64 keeps the product overflow-free
@@ -117,15 +137,11 @@ func (cfg Config) checkFields() error {
 func (cfg Config) bufferWords() float64 {
 	f := func(n int) float64 { return float64(max(n, 0)) }
 	c := f(max(cfg.Concentration, 1))
-	ports := 4 + c
-	if cfg.Depth > 1 {
-		ports += 2
-	}
 	vcs := 1.0
 	if cfg.Router.Kind == VirtualChannel {
 		vcs = f(cmp.Or(cfg.Router.VCs, 2)) // resolve's default
 	}
-	flits := ports * vcs * f(cfg.Router.BufferDepth)
+	flits := cfg.routerPorts() * vcs * f(cfg.Router.BufferDepth)
 	if cfg.Router.Kind == CentralBuffered {
 		flits += f(cfg.Router.CentralBuffer.Banks) * f(cfg.Router.CentralBuffer.Rows)
 	}
